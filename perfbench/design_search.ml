@@ -113,12 +113,18 @@ let write_figure answers =
              (Array.to_list grid)))
 
 (* Untimed: the pool's answers equal a sequential Eval.mean_into loop.
-   Returns the sequential per-call times, for the traced run. *)
+   Returns, for the traced run, the sequential loop's workspace build
+   time (the pool builds its own workspaces inside Eval.Pool.means) and
+   its per-call times. *)
 let check_design a =
   let ph = phase "design" in
   let scn = a.scn in
-  let ws = Eval.workspace ~variants:scn.Scenario.variants ~system:scn.Scenario.system
-      ~message:scn.Scenario.message () in
+  let ws, t_ws =
+    time (fun () ->
+        Eval.workspace ~variants:scn.Scenario.variants ~system:scn.Scenario.system
+          ~message:scn.Scenario.message ())
+  in
+  t_ws,
   Array.to_list
     (Array.mapi
        (fun j l ->
@@ -197,9 +203,10 @@ let run ~seed ~seconds ~traced =
     tracer := Trace.disabled;
     let self, unattributed = rollup ~root:"bench.design_search" spans in
     let evals = counter reg "model_evaluations" in
+    let calls = List.map snd seq in
     let half classed =
       List.concat
-        (List.map2 (fun d ts -> if d.classed = classed then ts else []) (Array.to_list family) seq)
+        (List.map2 (fun d ts -> if d.classed = classed then ts else []) (Array.to_list family) calls)
     in
     let quantiles, mean_allocs =
       List.split
@@ -215,11 +222,12 @@ let run ~seed ~seconds ~traced =
            answers)
     in
     let pool_s = sum (durations "pool.means" spans) in
-    let seq_s = sum (List.concat seq) in
+    (* Both sides build their workspaces and evaluate the same grid. *)
+    let seq_s = sum (List.map (fun (t_ws, ts) -> t_ws +. sum ts) seq) in
     {
       metrics =
         [
-          ("eval.mean_us", "us", median (List.concat seq) *. 1e6);
+          ("eval.mean_us", "us", median (List.concat calls) *. 1e6);
           ("eval.mean_us_classed", "us", median (half true) *. 1e6);
           ("eval.mean_us_distinct", "us", median (half false) *. 1e6);
           ("eval.quantile_us", "us", median (List.map fst quantiles) *. 1e6);

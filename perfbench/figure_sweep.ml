@@ -98,8 +98,8 @@ let run ~seed ~seconds ~traced =
   (* Set-up — scenario load and first workspace — is sampled three
      times before every pass, so its median spans the whole run. *)
   let setups = ref [] in
-  let pass i =
-    write_pass_scn ();
+  let pass ?(new_seed = true) i =
+    if new_seed then write_pass_scn ();
     for _ = 1 to 3 do
       setups := snd (time (fun () -> ignore (Scenario.evaluator (load scn_path)))) :: !setups
     done;
@@ -140,12 +140,18 @@ let run ~seed ~seconds ~traced =
     }
   end
   else begin
-    let _, untraced_wall = pass 0 in
+    (* Untraced, traced, untraced again, all on the same `.scn` (same
+       simulation seed, so the same events and replications): the
+       tracing overhead compares like with like, and the untraced side
+       is not only the process's first pass. *)
+    let _, untraced_1 = pass 0 in
     tracer := Trace.create ();
-    let (scn, outcome, _), traced_wall = pass 1 in
+    let (scn, outcome, _), traced_wall = pass ~new_seed:false 1 in
     let spans = Trace.spans !tracer in
     write_file (Filename.concat work_dir "figure_sweep.trace.json") (Trace.to_chrome_json !tracer);
     tracer := Trace.disabled;
+    let _, untraced_2 = pass ~new_seed:false 2 in
+    let untraced_wall = (untraced_1 +. untraced_2) /. 2. in
     let self, unattributed = rollup ~root:"bench.figure" spans in
     let st = outcome.Sweep_engine.stats in
     let points_busy = durations "point" spans in

@@ -137,12 +137,22 @@ let figure_points = 32
 
 let axis g k = g.lmax *. float_of_int (k + 1) /. float_of_int figure_points
 
-(* Warm line shapes, per 16 lines: 11 single requests, 4 arrays of 64
-   (the client-side batch) and 1 array longer than the server's
-   64 KiB read buffer. *)
+(* Warm line shapes.  The base shape is BENCH_serve's client batch, an
+   array of 64 requests, and it carries two thirds of the queries; one
+   array of [big_array] requests, longer than the server's 64 KiB read
+   buffer, carries the other third; and there is one single-request
+   line per array of 64.  So per-query latency has its p50 inside the
+   arrays of 64 and its p99 inside the long arrays, each away from a
+   boundary between shapes, and per-request costs rather than kernel
+   wake-ups set qps (a single-request round trip on the two-core
+   reference host swings threefold within seconds). *)
 let big_array = 1400
 
-let warm_shapes = [| 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 64; 64; 64; 64; big_array |]
+let arrays_per_cycle = 2 * big_array / 64
+
+let warm_shapes =
+  Array.concat
+    [ Array.make arrays_per_cycle 64; Array.make arrays_per_cycle 1; [| big_array |] ]
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
@@ -203,6 +213,9 @@ let closed_phase ?(keep = false) ?(name = "closed_loop") conns ~seconds ~next ~c
 
 let rtts c = List.map (fun (_, rtt, _) -> rtt) c.done_at
 
+(* Round trip per query: every request of a line waited for its line. *)
+let per_query c = List.concat_map (fun (_, rtt, q) -> List.init q (fun _ -> rtt)) c.done_at
+
 (* A closed loop's statistics per window, the windows tiling the phase
    and about [width] seconds long; the metrics are medians across
    windows, so a stall on the shared host moves one window, not the
@@ -215,7 +228,7 @@ let windows ~width c =
   List.init n (fun i ->
       let lo = float_of_int i *. width in
       let xs = List.filter (fun (t, _, _) -> t >= lo && t < lo +. width) c.done_at in
-      let rtts = List.map (fun (_, rtt, _) -> rtt) xs in
+      let rtts = per_query { c with done_at = xs } in
       {
         w_qps = float_of_int (List.fold_left (fun a (_, _, q) -> a + q) 0 xs) /. width;
         w_lines = float_of_int (List.length xs) /. width;
@@ -262,26 +275,8 @@ let rung conns g ~make ~rate ~duration ~budget ~ck =
 (* The ladder: fixed fractions of the closed-loop capacity. *)
 let ladder_fractions = [ 0.3; 0.45; 0.6; 0.75; 0.9; 1.05; 1.2 ]
 
-(* Pool-adjacent-violators: the closest non-decreasing sequence. *)
-let monotone xs =
-  let blocks =
-    List.fold_left
-      (fun acc x ->
-        let rec merge = function
-          | (s1, n1) :: (s2, n2) :: rest when s2 /. n2 > s1 /. n1 ->
-              merge ((s1 +. s2, n1 +. n2) :: rest)
-          | b -> b
-        in
-        merge ((x, 1.) :: acc))
-      [] xs
-  in
-  List.concat_map (fun (s, n) -> List.init (int_of_float n) (fun _ -> s /. n)) (List.rev blocks)
-
 (* Climb the ladder until two rungs in a row fail (p99 over budget or a
-   growing backlog).  The answer is where the rungs' p99, made
-   monotone in the rate so one stalled rung cannot decide it, crosses
-   the budget — interpolated log-linearly, so it moves continuously
-   with the system's speed. *)
+   growing backlog); the answer is the highest passing rung's rate. *)
 let ladder conns g ~make ~capacity ~budget ~duration ~ck =
   let rec climb fails acc = function
     | [] -> List.rev acc
@@ -291,21 +286,7 @@ let ladder conns g ~make ~capacity ~budget ~duration ~ck =
         climb (if r.pass then 0 else fails + 1) (r :: acc) rest
   in
   let rungs = climb 0 [] ladder_fractions in
-  let logs =
-    monotone
-      (List.map (fun r -> log (if r.pass then r.p99 else Float.max r.p99 (budget *. 1.01))) rungs)
-  in
-  let pts = List.combine (List.map (fun r -> r.rate) rungs) logs in
-  let lb = log budget in
-  let rec cross prev = function
-    | [] -> fst (List.hd (List.rev pts))
-    | (rate, lp) :: rest when lp <= lb -> cross (Some (rate, lp)) rest
-    | (rate, lp) :: _ -> (
-        match prev with
-        | None -> rate *. exp (lb -. lp)
-        | Some (r0, l0) -> r0 *. ((rate /. r0) ** ((lb -. l0) /. (lp -. l0))))
-  in
-  (cross None pts, rungs)
+  (List.fold_left (fun best r -> if r.pass then Float.max best r.rate else best) 0. rungs, rungs)
 
 let slo_budget ~cold = if cold then 0.025 else 0.001
 
@@ -404,7 +385,7 @@ let run ~cold ~seed ~seconds ~traced =
     @ if cold then [] else [ line_of ~batched:false [| Sat |] ]
   in
   let sock = Filename.concat work_dir "oracle.sock" in
-  let launches = if traced then 1 else if cold then 9 else 3 in
+  let launches = if traced then 1 else if cold then 25 else 3 in
   let setups = ref [] and last = ref None in
   for _ = 1 to launches do
     Option.iter (fun (d, c, _) -> Wire.close c; Wire.stop d) !last;
@@ -419,22 +400,47 @@ let run ~cold ~seed ~seconds ~traced =
   let next = if cold then (fun () -> line_of ~batched:false [| req g |]) else shape_stream g in
   verify ck;
   let s0 = Wire.scrape d in
-  let closed =
-    closed_phase ~keep:traced conns ~seconds:(seconds *. if traced then 0.4 else 0.6) ~next ~ck
+  (* Untraced, the three closed loops (two connections for qps, one
+     connection for latency, figures) run in interleaved rounds, so
+     each metric's windows span the whole run: a slow spell on the
+     shared host lands in a few windows of every metric rather than in
+     all the windows of one. *)
+  let rounds = if traced then 1 else 5 in
+  let slice f = seconds *. f /. float_of_int rounds in
+  let axis_of = if cold then fun k -> fresh_near g (axis g k) else axis g in
+  (* Latency and server overhead are read on one connection, one line
+     at a time, so a round trip holds no other connection's work: on
+     the one-domain daemon a two-connection round trip is the sum of
+     two services, and its distribution has a gap near p50 (a latency
+     query queued behind a latency or behind a quantile one). *)
+  let one_connection ~keep seconds =
+    closed_phase ~keep ~name:"one_connection" [| c0 |] ~seconds ~next ~ck
+  in
+  let played =
+    List.init rounds (fun _ ->
+        let c =
+          closed_phase ~keep:traced conns ~seconds:(slice (if traced then 0.4 else 0.45)) ~next ~ck
+        in
+        let rest =
+          if traced then None
+          else
+            let s = one_connection ~keep:false (slice 0.25) in
+            (* Figures, closed loop on both connections: the daemon
+               stays busy, so its speed, not wake-up latency, sets the
+               round trip. *)
+            let f =
+              closed_phase ~name:"figure" conns ~seconds:(slice 0.3)
+                ~next:(fun () -> figure_line ~axis_of) ~ck
+            in
+            Some (s, f)
+        in
+        verify ck;
+        (c, rest))
   in
   let s1 = Wire.scrape d in
-  verify ck;
   let delta name = Wire.series s1 name -. Wire.series s0 name in
-  (* Figures, closed loop on both connections: the daemon stays busy,
-     so its speed, not wake-up latency, sets the round trip. *)
-  let figures =
-    if traced then None
-    else
-      let axis_of = if cold then fun k -> fresh_near g (axis g k) else axis g in
-      Some
-        (closed_phase ~name:"figure" conns ~seconds:(seconds *. 0.35)
-           ~next:(fun () -> figure_line ~axis_of) ~ck)
-  in
+  let closed = List.map fst played in
+  let figures = List.filter_map (fun (_, r) -> Option.map snd r) played in
   (* The open-loop ladder runs in the traced run only: its p99 on a
      small shared host is set by scheduling stalls as much as by the
      daemon, too unsteady to gate on, so it is tracked per layer.  Its
@@ -443,17 +449,15 @@ let run ~cold ~seed ~seconds ~traced =
     if not traced then (nan, [])
     else begin
       let make () = line_of ~batched:false [| req g |] in
-      let probe = if cold then closed else closed_phase conns ~seconds:0.3 ~next:make ~ck in
+      let probe = if cold then List.hd closed else closed_phase conns ~seconds:0.3 ~next:make ~ck in
       let capacity = float_of_int (List.length probe.done_at) /. probe.elapsed in
       verify ck;
       ladder conns g ~make ~capacity ~budget:(slo_budget ~cold) ~duration:(seconds *. 0.07) ~ck
     end
   in
-  (* Server overhead is read on one connection, one line at a time, so
-     a round trip holds no other connection's work. *)
-  let ping =
-    if traced then closed_phase ~keep:true ~name:"ping" [| c0 |] ~seconds:(seconds *. 0.1) ~next ~ck
-    else closed
+  let single =
+    if traced then [ one_connection ~keep:true (seconds *. 0.1) ]
+    else List.filter_map (fun (_, r) -> Option.map fst r) played
   in
   let peak = Wire.vm_hwm_mb d in
   let s2 = Wire.scrape d in
@@ -461,23 +465,26 @@ let run ~cold ~seed ~seconds ~traced =
   Wire.close c1;
   Wire.stop d;
   verify ck;
-  let n_lines = List.length closed.done_at in
-  let per_window = windows ~width:0.5 closed in
+  let windows_of width cs = List.concat_map (windows ~width) cs in
+  let count f cs = List.fold_left (fun a c -> a + f c) 0 cs in
+  let per_window = windows_of 0.5 closed in
+  let lat_windows = windows_of 0.5 single in
   let metrics =
     match figures with
-    | Some f ->
+    | _ :: _ ->
         [
           ("setup_s", "s", median !setups);
           ("qps", "queries/s", median (List.map (fun w -> w.w_qps) per_window));
-          ("latency_p50_ms", "ms", median (List.map (fun w -> w.w_p50) per_window) *. 1e3);
-          ("latency_p99_ms", "ms", median (List.map (fun w -> w.w_p99) per_window) *. 1e3);
-          ("figure_s", "s", median (rtts f));
+          ("latency_p50_ms", "ms", median (List.map (fun w -> w.w_p50) lat_windows) *. 1e3);
+          ("latency_p99_ms", "ms", median (List.map (fun w -> w.w_p99) lat_windows) *. 1e3);
+          ("figure_s", "s", median (List.concat_map rtts figures));
           ( "designs_per_s",
             "designs/s",
-            median (List.map (fun w -> w.w_lines) (windows ~width:1. f)) );
+            median (List.map (fun w -> w.w_lines) (windows_of 1. figures)) );
           ("peak_rss_mb", "MB", peak);
         ]
-    | None ->
+    | [] ->
+        let closed = List.hd closed and single = List.hd single in
         let untraced = replay scn ~fill closed.lines in
         tracer := Trace.create ();
         let traced_r = replay scn ~fill closed.lines in
@@ -491,7 +498,7 @@ let run ~cold ~seed ~seconds ~traced =
         let overhead =
           List.map2
             (fun (_, rtt, _) inproc -> rtt -. inproc)
-            ping.lines (replay scn ~fill ping.lines).per_line
+            single.lines (replay scn ~fill single.lines).per_line
         in
         let q = float_of_int closed.queries in
         let hits = delta "serve_memo_hits" and misses = delta "serve_memo_misses" in
@@ -518,13 +525,23 @@ let run ~cold ~seed ~seconds ~traced =
       [
         ("daemon_domains", Json.Num 1.);
         ("lambda_sat", Json.Num sat);
-        ("closed_loop_lines", Json.Num (float_of_int n_lines));
-        ("closed_loop_queries", Json.Num (float_of_int closed.queries));
+        ("rounds", Json.Num (float_of_int rounds));
+        ("closed_loop_lines", Json.Num (float_of_int (count (fun c -> List.length c.done_at) closed)));
+        ("closed_loop_queries", Json.Num (float_of_int (count (fun c -> c.queries) closed)));
         ("windows", Json.Num (float_of_int (List.length per_window)));
         ("window_s", Json.Num 0.5);
+        ("latency_lines", Json.Num (float_of_int (count (fun c -> List.length c.done_at) single)));
+        ("latency_queries", Json.Num (float_of_int (count (fun c -> c.queries) single)));
+        ("latency_windows", Json.Num (float_of_int (List.length lat_windows)));
+        ( "line_shapes",
+          Json.Str
+            (if cold then "single requests"
+             else
+               Printf.sprintf "per cycle %d arrays of 64, %d single requests, 1 array of %d"
+                 arrays_per_cycle arrays_per_cycle big_array) );
         ("setup_samples", Json.Num (float_of_int (List.length !setups)));
         ( "figures",
-          Json.Num (float_of_int (Option.fold ~none:0 ~some:(fun f -> List.length f.done_at) figures)) );
+          Json.Num (float_of_int (count (fun f -> List.length f.done_at) figures)) );
         ("slo_budget_ms", Json.Num (slo_budget ~cold *. 1e3));
         ("ladder", Json.Arr (List.map rung_json rungs));
       ];
