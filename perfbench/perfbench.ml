@@ -13,7 +13,7 @@ open Common
 
 let end_to_end =
   [
-    ("setup_s", "s"); ("qps", "queries/s"); ("latency_p50_ms", "ms"); ("latency_p99_ms", "ms");
+    ("setup_s", "s"); ("qps", "queries/s"); ("latency_p50_ms", "ms"); ("latency_p90_ms", "ms");
     ("figure_s", "s"); ("designs_per_s", "designs/s");
     ("peak_rss_mb", "MB");
   ]
