@@ -22,13 +22,13 @@
    events per second, and allocated bytes per event.
 
    A second machine-readable summary, BENCH_sweep.json, tracks the
-   sweep orchestration engine: the same figure sweep run (a) through
-   the legacy Parallel.map fan-out with the fixed replication budget
+   sweep orchestration engine: the same figure sweep run (a) as a
+   plain fan-out over the shared domain pool with the fixed replication budget
    a non-adaptive design must provision to guarantee the precision
-   target everywhere, (b) cold through the engine (work-stealing
-   scheduler + CI-adaptive replications, empty cache), and (c) warm
-   (same cache), recording wall times, per-domain occupancy, steal
-   counts and cache hit rates.
+   target everywhere, (b) cold through the engine (cost-ordered
+   scheduling + CI-adaptive replications, empty cache), and (c) warm
+   (same cache), recording wall times, per-domain occupancy and
+   cache hit rates.
 
    Environment knobs:
      FATNET_BENCH_SIM=0        skip the simulation series (model only)
@@ -319,7 +319,7 @@ let write_sim_json () =
 (* ---- sweep orchestration benchmark (BENCH_sweep.json) ---- *)
 
 module Sweep_engine = Fatnet_experiments.Sweep_engine
-module Parallel = Fatnet_experiments.Parallel
+module Exec = Fatnet_numerics.Pool
 
 let sweep_steps = env_int "FATNET_BENCH_SWEEP_STEPS" 4
 let sweep_rep_measured = env_int "FATNET_BENCH_SWEEP_MEASURED" 500
@@ -352,9 +352,9 @@ let sweep_baseline_config =
   }
 
 (* Exercise the scheduler even on a single-core runner: coarse tasks
-   timeshare two domains at negligible cost, and steal counts /
-   occupancy become observable. *)
-let sweep_domains = max 2 (Parallel.recommended_domains ())
+   timeshare two domains at negligible cost, and occupancy becomes
+   observable. *)
+let sweep_domains = max 2 (Exec.recommended_domains ())
 
 let sweep_points spec ~steps =
   spec.Figures.curves
@@ -383,20 +383,20 @@ let sweep_bench_json () =
   let spec = Figures.fig5 in
   let points = sweep_points spec ~steps:sweep_steps in
   let n_points = List.length points in
-  (* (a) the legacy path: atomic-counter Parallel.map, fixed budget *)
+  (* (a) the legacy path: input order on the shared pool, fixed
+     budget, no cache *)
   let t0 = Fatnet_sim.Clock.now_ns () in
-  let baseline_means =
-    Parallel.map ~domains:sweep_domains
-      (fun (p : Scenario.t) ->
-        Runner.mean_latency ~config:sweep_baseline_config ~system:p.Scenario.system
-          ~message:p.Scenario.message
-          ~lambda_g:(Scenario.require_lambda p)
-          ())
-      points
-  in
-  ignore baseline_means;
+  let baseline_points = Array.of_list points in
+  ignore
+    (Exec.run_once ~domains:sweep_domains (Array.length baseline_points) ~f:(fun _ i ->
+         let p = baseline_points.(i) in
+         ignore
+           (Runner.mean_latency ~config:sweep_baseline_config ~system:p.Scenario.system
+              ~message:p.Scenario.message
+              ~lambda_g:(Scenario.require_lambda p)
+              ())));
   let baseline_wall = Fatnet_sim.Clock.seconds_since t0 in
-  (* (b) cold engine: empty cache, work stealing, adaptive reps *)
+  (* (b) cold engine: empty cache, cost-ordered claims, adaptive reps *)
   let cache_dir = fresh_cache_dir () in
   let engine =
     {
@@ -436,7 +436,7 @@ let sweep_bench_json () =
   Printf.sprintf
     "{\n\
     \  \"suite\": \"%s sweep, %d points, precision target %.2f rel at %.2f conf, rep quota %d, cap %d\",\n\
-    \  \"note\": \"baseline is the legacy Parallel.map fan-out with the fixed budget (cap x rep quota per point) a non-adaptive design must provision to guarantee the precision target at every point; the engine spends that budget adaptively and caches points on disk\",\n\
+    \  \"note\": \"baseline is a plain fan-out over the shared domain pool with the fixed budget (cap x rep quota per point) a non-adaptive design must provision to guarantee the precision target at every point; the engine spends that budget adaptively and caches points on disk\",\n\
     \  \"baseline_parallel_map\": { \"wall_seconds\": %.6f, \"measured_per_point\": %d, \"points\": %d, \"domains\": %d },\n\
     \  \"cold_engine\": %s,\n\
     \  \"warm_engine\": %s,\n\

@@ -30,7 +30,7 @@ let guard body =
   | exception (Invalid_argument msg | Failure msg) ->
       prerr_endline ("error: " ^ msg);
       2
-  | exception Fatnet_experiments.Parallel.Failures fs ->
+  | exception Sweep_engine.Failures fs ->
       List.iter (fun f -> prerr_endline (describe_point_failure f)) fs;
       1
   | exception Sys_error msg ->

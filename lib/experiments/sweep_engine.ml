@@ -6,6 +6,7 @@ module Utilization = Fatnet_model.Utilization
 module Metrics = Fatnet_obs.Metrics
 module Trace = Fatnet_obs.Trace
 module Log = Fatnet_obs.Log
+module Pool = Fatnet_numerics.Pool
 
 type cache_policy = No_cache | Cache_dir of string
 
@@ -66,9 +67,17 @@ type failure = {
 }
 
 exception Point_failure of failure
+exception Failures of (int * exn) list
 
 let () =
   Printexc.register_printer (function
+    | Failures fs ->
+        Some
+          (Printf.sprintf "Fatnet_experiments.Sweep_engine.Failures [%s]"
+             (String.concat "; "
+                (List.map
+                   (fun (i, exn) -> Printf.sprintf "%d: %s" i (Printexc.to_string exn))
+                   fs)))
     | Point_failure { index; lambda_g; attempts; error } ->
         Some
           (Printf.sprintf "point %d%s failed after %d attempt%s: %s" index
@@ -143,50 +152,6 @@ let estimated_cost (s : Scenario.t) =
     if rho >= 1. then 50. *. rho else 1. /. (1. -. Float.min rho 0.98)
   in
   quota *. reps *. congestion
-
-(* ---- work-stealing deques ----
-
-   Points are coarse tasks (milliseconds to minutes each), so a
-   mutex-protected deque per domain costs nothing measurable and
-   avoids the subtleties of lock-free Chase-Lev.  The initial
-   distribution is longest-processing-time-first: points sorted by
-   estimated cost, each chunked onto the currently least-loaded
-   deque, so the expensive near-saturation points dispatch first and
-   the critical path shrinks.  Owners pop their costliest remaining
-   point from the front; idle domains steal from the back of a
-   victim's deque (the victim's cheapest work), which keeps steals
-   rare and cheap. *)
-type deque = {
-  items : int array;
-  mutable lo : int;
-  mutable hi : int;
-  lock : Mutex.t;
-}
-
-let pop_front d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      let i = d.items.(d.lo) in
-      d.lo <- d.lo + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let steal_back d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      d.hi <- d.hi - 1;
-      Some d.items.(d.hi)
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
 
 let execute ~config ~metrics (s : Scenario.t) =
   match s.Scenario.replication with
@@ -362,47 +327,24 @@ let run ?(config = default_config) points =
     let d =
       match config.domains with
       | Some d -> d
-      | None -> Parallel.recommended_domains ()
+      | None -> Pool.recommended_domains ()
     in
     max 1 (min d (max 1 executed))
   in
-  let occupancy = Array.make domains_used 0. in
-  let steals = Atomic.make 0 in
   let retried = Atomic.make 0 in
   let abort = Atomic.make false in
   let failures_lock = Mutex.create () in
   let failures = ref [] in
-  if misses <> [] then begin
+  let occupancy =
+    if misses = [] then Array.make domains_used 0.
+    else
     let costs = Array.map estimated_cost points in
+    (* Costliest first: claiming this array in order from the pool's
+       one counter is greedy LPT list scheduling, so the expensive
+       near-saturation points dispatch first and the critical path
+       shrinks.  The sort is stable, so ties keep input order. *)
     let by_cost =
-      List.sort (fun a b -> Float.compare costs.(b) costs.(a)) misses
-    in
-    (* LPT greedy: next-costliest point onto the least-loaded deque. *)
-    let loads = Array.make domains_used 0. in
-    let assignment = Array.make domains_used [] in
-    List.iter
-      (fun i ->
-        let d = ref 0 in
-        for k = 1 to domains_used - 1 do
-          if loads.(k) < loads.(!d) then d := k
-        done;
-        loads.(!d) <- loads.(!d) +. costs.(i);
-        assignment.(!d) <- i :: assignment.(!d))
-      by_cost;
-    let deques =
-      Array.map
-        (fun rev ->
-          let items = Array.of_list (List.rev rev) in
-          { items; lo = 0; hi = Array.length items; lock = Mutex.create () })
-        assignment
-    in
-    (* Gauges and histograms are single-writer: each worker domain
-       records into its own registry (simulator metrics reach it as
-       the domain's ambient), absorbed into the caller's registry
-       after the join. *)
-    let work_regs =
-      Array.init domains_used (fun _ ->
-          if metrics_on then Metrics.create () else Metrics.disabled)
+      Array.of_list (List.stable_sort (fun a b -> Float.compare costs.(b) costs.(a)) misses)
     in
     (* Retry discipline: a failed attempt re-runs the same point up
        to [config.retries] extra times.  The fault plan keys its
@@ -412,7 +354,12 @@ let run ?(config = default_config) points =
        bit-identical to a fault-free sweep.  A point that exhausts its
        budget is quarantined, not fatal — unless [fail_fast], which
        records the first failure and tells every worker to stop
-       picking up new points. *)
+       picking up new points.
+
+       [reg] is the executing domain's ambient registry: [mreg] on the
+       caller, a fresh per-worker registry (gauges and histograms are
+       single-writer) that the pool absorbs into [mreg] after the
+       join. *)
     let run_point reg i =
       let p = points.(i) in
       (* Worker domains' ambient current span is 0, so the point span
@@ -491,51 +438,11 @@ let run ?(config = default_config) points =
       in
       attempt 0
     in
-    let worker d =
-      let reg = work_regs.(d) in
-      Metrics.with_ambient reg @@ fun () ->
-      Trace.with_ambient tracer (fun () ->
-          let busy_start = ref (Clock.now_ns ()) in
-          let busy = ref 0. in
-          let continue = ref true in
-          while !continue && not (Atomic.get abort) do
-            match pop_front deques.(d) with
-            | Some i ->
-                busy_start := Clock.now_ns ();
-                run_point reg i;
-                busy := !busy +. Clock.seconds_since !busy_start
-            | None ->
-                let t_steal = Clock.now_ns () in
-                let rec try_steal k =
-                  if k >= domains_used then None
-                  else
-                    match steal_back deques.((d + k) mod domains_used) with
-                    | Some i -> Some i
-                    | None -> try_steal (k + 1)
-                in
-                (match try_steal 1 with
-                | Some i ->
-                    Atomic.incr steals;
-                    Metrics.observe
-                      (Metrics.histogram reg "sweep_steal_latency_seconds" ~lo:0. ~hi:0.01
-                         ~bins:20
-                         ~help:"Victim-scan time before a successful steal")
-                      (Clock.seconds_since t_steal);
-                    busy_start := Clock.now_ns ();
-                    run_point reg i;
-                    busy := !busy +. Clock.seconds_since !busy_start
-                | None -> continue := false)
-          done;
-          occupancy.(d) <- !busy)
-    in
-    let spawned =
-      List.init (domains_used - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned;
-    if metrics_on then
-      Array.iter (fun reg -> Metrics.absorb mreg (Metrics.snapshot reg)) work_regs
-  end;
+    Metrics.with_ambient mreg @@ fun () ->
+    Pool.run_once ~domains:domains_used (Array.length by_cost) ~f:(fun _ k ->
+        if not (Atomic.get abort) then
+          Trace.with_ambient tracer (fun () -> run_point (Metrics.ambient ()) by_cost.(k)))
+  in
   let wall = Clock.seconds_since t0 in
   let quarantined =
     List.sort (fun a b -> compare a.index b.index) !failures
@@ -548,7 +455,6 @@ let run ?(config = default_config) points =
          ~help:"Points served by the in-memory memo instead of disk or execution")
       !memo_hits;
     Metrics.add (Metrics.counter mreg "sweep_cache_hits") !cache_hits;
-    Metrics.add (Metrics.counter mreg "sweep_steals") (Atomic.get steals);
     Metrics.add
       (Metrics.counter mreg "sweep_points_quarantined"
          ~help:"Points that exhausted their retry budget this sweep")
@@ -576,11 +482,10 @@ let run ?(config = default_config) points =
   Trace.attr_int sweep_sp "executed" executed;
   Trace.attr_int sweep_sp "memo_hits" !memo_hits;
   Trace.attr_int sweep_sp "cache_hits" !cache_hits;
-  Trace.attr_int sweep_sp "steals" (Atomic.get steals);
   Trace.attr_int sweep_sp "quarantined" (List.length quarantined);
   if config.fail_fast && quarantined <> [] then
     raise
-      (Parallel.Failures
+      (Failures
          (List.map (fun f -> (f.index, Point_failure f)) quarantined));
   {
     results;
@@ -592,7 +497,7 @@ let run ?(config = default_config) points =
         memo_hits = !memo_hits;
         cache_hits = !cache_hits;
         domains_used;
-        steals = Atomic.get steals;
+        steals = 0;
         occupancy =
           Array.map (fun b -> if wall > 0. then b /. wall else 0.) occupancy;
         wall_seconds = wall;
@@ -607,7 +512,7 @@ let results_exn (o : outcome) =
   | [] -> ()
   | fs ->
       raise
-        (Parallel.Failures (List.map (fun f -> (f.index, Point_failure f)) fs)));
+        (Failures (List.map (fun f -> (f.index, Point_failure f)) fs)));
   Array.map
     (function Some r -> r | None -> assert false)
     o.results

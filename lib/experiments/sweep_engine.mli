@@ -8,11 +8,11 @@
     {ul
     {- {b cost-model scheduling}: each point's expected cost is
        estimated from the analytical model's utilization (quota ×
-       1/(1−ρ) of the most-loaded resource), points are distributed
-       longest-expected-first (LPT) over per-domain deques, and idle
-       domains steal from the back of a victim's deque — so the
-       near-saturation points that dominate the critical path
-       dispatch first and domains stay busy;}
+       1/(1−ρ) of the most-loaded resource), and points are handed to
+       the shared {!Fatnet_numerics.Pool} costliest first — its
+       single claim counter makes that greedy longest-processing-time
+       list scheduling, so the near-saturation points that dominate
+       the critical path dispatch first and domains stay busy;}
     {- {b a persistent point cache} ({!Point_cache}): results are
        keyed by a canonical, bit-exact hash of the full run
        configuration, so regenerating a figure recomputes only points
@@ -41,8 +41,7 @@
     seed, so faults cost work, never results (pinned by the
     fault-injection suite).  [fail_fast] restores the old
     all-or-nothing behavior: the first exhausted point stops workers
-    from starting new points and the sweep raises
-    {!Parallel.Failures}. *)
+    from starting new points and the sweep raises {!Failures}. *)
 
 type cache_policy =
   | No_cache
@@ -70,7 +69,7 @@ type config = {
   metrics : Fatnet_obs.Metrics.t;
       (** telemetry registry ({!Fatnet_obs.Metrics.disabled} by
           default).  When enabled the sweep records scheduler and
-          cache statistics (points, steals, hit/miss/store timings,
+          cache statistics (points, hit/miss/store timings,
           per-domain occupancy) and hands each worker domain its own
           registry — also installed as that domain's ambient, so
           simulator and solver metrics flow too — absorbing them all
@@ -83,7 +82,7 @@ type config = {
           (default 2; 0 = no retries) *)
   fail_fast : bool;
       (** abort the sweep on the first exhausted point and raise
-          {!Parallel.Failures} instead of quarantining (default
+          {!Failures} instead of quarantining (default
           [false]) *)
   faults : Fault.t;
       (** deterministic fault-injection plan ({!Fault.none} by
@@ -126,7 +125,10 @@ type stats = {
   memo_hits : int;     (** points served by the in-memory memo *)
   cache_hits : int;    (** points served by the on-disk cache *)
   domains_used : int;
-  steals : int;        (** points run by a non-owning domain *)
+  steals : int;
+      (** always [0]: points are claimed from one shared queue, so no
+          domain steals from another.  Kept only so existing readers
+          of the record still build. *)
   occupancy : float array;
       (** per-domain fraction of the sweep wall time spent executing
           points *)
@@ -147,9 +149,13 @@ type failure = {
 
 exception Point_failure of failure
 (** Wraps a quarantined point's failure when strict callers
-    ({!results_exn}, [fail_fast]) re-raise it inside
-    {!Parallel.Failures}.  Registered printer renders
+    ({!results_exn}, [fail_fast]) re-raise it inside {!Failures}.
+    Registered printer renders
     ["point 3 (lambda_g=0.7) failed after 3 attempts: ..."]. *)
+
+exception Failures of (int * exn) list
+(** Every quarantined point of a strict sweep, as [(input index,
+    Point_failure _)], in index order.  A printer is registered. *)
 
 type outcome = {
   results : point_result option array;
@@ -172,11 +178,11 @@ val run : ?config:config -> Fatnet_scenario.Scenario.t list -> outcome
     [i]-th input point regardless of scheduling.  A failing point is
     retried, then quarantined (see the failure semantics above);
     [run] itself raises only under [fail_fast]
-    ({!Parallel.Failures}, each entry a {!Point_failure}). *)
+    ({!Failures}, each entry a {!Point_failure}). *)
 
 val results_exn : outcome -> point_result array
 (** The dense result array for strict callers.  Raises
-    {!Parallel.Failures} (entries wrapped in {!Point_failure},
+    {!Failures} (entries wrapped in {!Point_failure},
     sorted by input index) if anything was quarantined. *)
 
 val run_sweep : ?config:config -> Fatnet_scenario.Scenario.t -> outcome

@@ -408,19 +408,14 @@ let saturation_rate ?state ?(tol = 1e-9) ws =
 module Pool = struct
   module Solver = Fatnet_numerics.Solver
   module Memo = Fatnet_numerics.Memo
+  module Exec = Fatnet_numerics.Pool
 
-  (* A persistent pool of [size - 1] worker domains plus the calling
-     domain.  Work distribution is the same atomic-counter work
-     sharing as [Fatnet_experiments.Parallel] (which this layer
-     cannot depend on — the dependency arrow points the other way):
-     every domain, caller included, claims the next unclaimed task
-     index until the batch is drained, so a domain stuck on a slow
-     task never strands the rest of the batch.
-
-     Bit-identity under that stealing holds because the output slot
-     is addressed by the {e input index}, each task's value depends
-     only on (pure precomputed workspace, λ) — per-domain workspaces
-     are identical pure data, scratch never crosses domains — and
+  (* Scheduling is {!Fatnet_numerics.Pool}'s; this layer adds only
+     the per-domain model state.  Bit-identity under any
+     task-to-domain assignment holds because the output slot is
+     addressed by the {e input index}, each task's value depends only
+     on (pure precomputed workspace, λ) — per-domain workspaces are
+     identical pure data, scratch never crosses domains — and
      IEEE-754 ops are deterministic.  Which domain computes a task
      can never change what it writes. *)
 
@@ -434,182 +429,42 @@ module Pool = struct
     mutable cached_ws : workspace option;
   }
 
-  type job = {
-    task : ctx -> int -> unit;
-    n_tasks : int;
-    next : int Atomic.t;
-    regs : Metrics.t array; (* per-worker registries, absorbed after the join *)
-    busy : float array; (* per-domain busy seconds for occupancy gauges *)
-  }
+  type t = { exec : Exec.t; ctxs : ctx array }
 
-  type t = {
-    size : int;
-    lock : Mutex.t;
-    work : Condition.t;
-    idle : Condition.t;
-    mutable job : job option;
-    mutable epoch : int;
-    mutable pending : int;
-    mutable stop : bool;
-    mutable active : bool;
-    mutable closed : bool;
-    ctxs : ctx array;
-    mutable workers : unit Domain.t array;
-    err : (exn * Printexc.raw_backtrace) option Atomic.t;
-  }
+  let recommended_domains = Exec.recommended_domains
 
-  let recommended_domains () = max 1 (Domain.recommended_domain_count ())
+  let of_exec exec =
+    {
+      exec;
+      ctxs =
+        Array.init (Exec.domains exec) (fun id ->
+            { id; bstate = Solver.bracket_state (); cached_ws = None });
+    }
 
-  let run_tasks t job ctx =
-    let t0 = Metrics.now_seconds () in
-    let continue = ref true in
-    while !continue do
-      if Atomic.get t.err <> None then continue := false
-      else begin
-        let i = Atomic.fetch_and_add job.next 1 in
-        if i >= job.n_tasks then continue := false
-        else
-          try job.task ctx i
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set t.err None (Some (e, bt)));
-            continue := false
-      end
-    done;
-    job.busy.(ctx.id) <- job.busy.(ctx.id) +. (Metrics.now_seconds () -. t0)
-
-  let worker_loop t idx () =
-    let ctx = t.ctxs.(idx) in
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.lock;
-      while (not t.stop) && t.epoch = !seen do
-        Condition.wait t.work t.lock
-      done;
-      if t.stop then begin
-        Mutex.unlock t.lock;
-        running := false
-      end
-      else begin
-        seen := t.epoch;
-        let job = match t.job with Some j -> j | None -> assert false in
-        Mutex.unlock t.lock;
-        let reg = job.regs.(idx) in
-        if Metrics.is_enabled reg then
-          Metrics.with_ambient reg (fun () -> run_tasks t job ctx)
-        else run_tasks t job ctx;
-        Mutex.lock t.lock;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.signal t.idle;
-        Mutex.unlock t.lock
-      end
-    done
-
-  let create ?domains () =
-    let size =
-      match domains with
-      | Some d -> if d < 1 then invalid_arg "Eval.Pool.create: domains must be >= 1" else d
-      | None -> recommended_domains ()
-    in
-    let t =
-      {
-        size;
-        lock = Mutex.create ();
-        work = Condition.create ();
-        idle = Condition.create ();
-        job = None;
-        epoch = 0;
-        pending = 0;
-        stop = false;
-        active = false;
-        closed = false;
-        ctxs =
-          Array.init size (fun id ->
-              { id; bstate = Solver.bracket_state (); cached_ws = None });
-        workers = [||];
-        err = Atomic.make None;
-      }
-    in
-    t.workers <- Array.init (size - 1) (fun i -> Domain.spawn (worker_loop t (i + 1)));
-    t
-
-  let domains t = t.size
-
-  let shutdown t =
-    if not t.closed then begin
-      t.closed <- true;
-      Mutex.lock t.lock;
-      t.stop <- true;
-      Condition.broadcast t.work;
-      Mutex.unlock t.lock;
-      Array.iter Domain.join t.workers
-    end
-
-  let with_pool ?domains f =
-    let t = create ?domains () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+  let create ?domains () = of_exec (Exec.create ?domains ())
+  let domains t = Exec.domains t.exec
+  let shutdown t = Exec.shutdown t.exec
+  let with_pool ?domains f = Exec.with_pool ?domains (fun exec -> f (of_exec exec))
 
   let map t ~f inputs =
-    if t.closed then invalid_arg "Eval.Pool.map: pool is shut down";
-    let n = Array.length inputs in
-    let out = Array.make n None in
-    let caller_reg = Metrics.ambient () in
-    let enabled = Metrics.is_enabled caller_reg in
-    (* Slot 0 is the caller: it keeps its own ambient registry, so
-       only workers need fresh ones (absorbed after the join, exactly
-       like the sweep engine's worker registries). *)
-    let regs =
-      Array.init t.size (fun i ->
-          if i > 0 && enabled then Metrics.create () else Metrics.disabled)
-    in
-    let job =
-      {
-        task = (fun ctx i -> out.(i) <- Some (f ctx inputs.(i)));
-        n_tasks = n;
-        next = Atomic.make 0;
-        regs;
-        busy = Array.make t.size 0.;
-      }
-    in
-    Atomic.set t.err None;
+    let out = Array.make (Array.length inputs) None in
     let t0 = Metrics.now_seconds () in
-    Mutex.lock t.lock;
-    if t.active then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Eval.Pool.map: map is already running on this pool"
-    end;
-    t.active <- true;
-    t.job <- Some job;
-    t.epoch <- t.epoch + 1;
-    t.pending <- t.size - 1;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    run_tasks t job t.ctxs.(0);
-    Mutex.lock t.lock;
-    while t.pending > 0 do
-      Condition.wait t.idle t.lock
-    done;
-    t.job <- None;
-    t.active <- false;
-    Mutex.unlock t.lock;
-    let wall = Float.max (Metrics.now_seconds () -. t0) 1e-9 in
-    if enabled then begin
-      for i = 1 to t.size - 1 do
-        Metrics.absorb caller_reg (Metrics.snapshot regs.(i))
-      done;
+    let busy =
+      Exec.run t.exec (Array.length inputs) ~f:(fun d i ->
+          out.(i) <- Some (f t.ctxs.(d) inputs.(i)))
+    in
+    let reg = Metrics.ambient () in
+    if Metrics.is_enabled reg then begin
+      let wall = Float.max (Metrics.now_seconds () -. t0) 1e-9 in
       Array.iteri
-        (fun i b ->
+        (fun d b ->
           Metrics.set_max
-            (Metrics.gauge caller_reg "pool_domain_occupancy"
-               ~labels:[ ("domain", string_of_int i) ]
+            (Metrics.gauge reg "pool_domain_occupancy"
+               ~labels:[ ("domain", string_of_int d) ]
                ~help:"Peak busy fraction of each evaluation-pool domain over a batch")
             (b /. wall))
-        job.busy
+        busy
     end;
-    (match Atomic.get t.err with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
     Array.map (function Some v -> v | None -> assert false) out
 
   let ctx_id ctx = ctx.id

@@ -85,11 +85,10 @@ val system : workspace -> Params.system
 val message : workspace -> Params.message
 val variants : workspace -> Variants.t
 
-(** Multicore batch evaluation: a persistent pool of OCaml 5 domains,
-    each carrying its own {!workspace} cache and warm
-    {!Fatnet_numerics.Solver.bracket_state}, fed by atomic-counter
-    work sharing (the {!Fatnet_experiments.Parallel} idiom, restated
-    here because the dependency arrow points the other way).
+(** Multicore batch evaluation on the shared
+    {!Fatnet_numerics.Pool}: each of its domains carries its own
+    {!workspace} cache and warm
+    {!Fatnet_numerics.Solver.bracket_state}.
 
     {b Bit-identity:} {!Pool.map}/{!Pool.means} results are
     bit-identical to a sequential {!mean_into} loop over the same
@@ -111,8 +110,7 @@ module Pool : sig
       received it. *)
 
   val recommended_domains : unit -> int
-  (** [max 1 (Domain.recommended_domain_count ())] — the default pool
-      size, and the documented default of every [--domains] flag. *)
+  (** {!Fatnet_numerics.Pool.recommended_domains}. *)
 
   val create : ?domains:int -> unit -> t
   (** Spawn the worker domains ([domains] defaults to
@@ -131,8 +129,8 @@ module Pool : sig
 
   val map : t -> f:(ctx -> 'a -> 'b) -> 'a array -> 'b array
   (** Evaluate [f] over the array with all pool domains (the caller
-      participates).  Tasks are claimed by atomic counter; results
-      land at their input index.  Worker-domain metrics registries
+      participates), via {!Fatnet_numerics.Pool.run}; results land at
+      their input index.  Worker-domain metrics registries
       are absorbed into the caller's ambient registry after the join,
       and per-domain [pool_domain_occupancy] gauges are recorded.
       The first task exception is re-raised after the batch stops

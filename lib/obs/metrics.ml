@@ -179,23 +179,14 @@ let observe h x =
     end
   end
 
-(* ---- span timers ---- *)
+(* ---- clock ---- *)
 
-(* Monotonic, shared with [Trace]: span durations must survive
+(* Monotonic, shared with [Trace]: durations must survive
    wall-clock steps (NTP slews, manual resets) in a long-running
    process.  The epoch is arbitrary — only differences mean
-   anything, which is all the callers (span timers, pool busy
-   accounting) compute. *)
+   anything, which is all the callers (pool busy accounting,
+   benches) compute. *)
 let now_seconds () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-type span = { s_h : histogram; s_t0 : float }
-
-let start_span h =
-  if h == null_histogram then { s_h = h; s_t0 = 0. }
-  else { s_h = h; s_t0 = now_seconds () }
-
-let finish_span s =
-  if s.s_h != null_histogram then observe s.s_h (now_seconds () -. s.s_t0)
 
 (* ---- meta ---- *)
 

@@ -336,6 +336,36 @@ let pool_nested_map_raises () =
       | _ -> Alcotest.fail "expected Invalid_argument from nested map"
       | exception Invalid_argument _ -> ())
 
+let pool_nested_map_keeps_outer_failure () =
+  (* A nested [map] must be refused without clearing the running
+     batch's recorded exception: task 1 fails first, then task 0
+     tries to re-enter the pool.  The outer batch must still re-raise
+     task 1's exception, never trip on its empty result slot. *)
+  Pool.with_pool ~domains:2 (fun pool ->
+      for _ = 1 to 20 do
+        let failed = Atomic.make false in
+        match
+          Pool.map pool
+            ~f:(fun _ i ->
+              if i = 1 then begin
+                Atomic.set failed true;
+                raise Exit
+              end
+              else begin
+                while not (Atomic.get failed) do
+                  Domain.cpu_relax ()
+                done;
+                Unix.sleepf 0.002;
+                match Pool.map pool ~f:(fun _ x -> x) [| 1 |] with
+                | _ -> Alcotest.fail "expected Invalid_argument from nested map"
+                | exception Invalid_argument _ -> ()
+              end)
+            [| 0; 1 |]
+        with
+        | _ -> Alcotest.fail "expected Exit from the outer map"
+        | exception Exit -> ()
+      done)
+
 let pool_means_match_sequential () =
   List.iter
     (fun (name, system) ->
@@ -578,6 +608,8 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick pool_exceptions_propagate;
           Alcotest.test_case "shutdown semantics" `Quick pool_shutdown_semantics;
           Alcotest.test_case "nested map raises" `Quick pool_nested_map_raises;
+          Alcotest.test_case "nested map keeps outer failure" `Quick
+            pool_nested_map_keeps_outer_failure;
           Alcotest.test_case "means match sequential" `Quick pool_means_match_sequential;
           Alcotest.test_case "pooled sweep matches sequential" `Quick
             pool_sweep_matches_sequential;

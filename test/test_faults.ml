@@ -10,7 +10,6 @@ module Fault = Fatnet_experiments.Fault
 module Fs_util = Fatnet_experiments.Fs_util
 module Point_cache = Fatnet_experiments.Point_cache
 module Engine = Fatnet_experiments.Sweep_engine
-module Parallel = Fatnet_experiments.Parallel
 module Scenario = Fatnet_scenario.Scenario
 module Presets = Fatnet_model.Presets
 module Metrics = Fatnet_obs.Metrics
@@ -455,7 +454,7 @@ let guard_exit_codes () =
       { Engine.index = 3; lambda_g = Some 0.7; attempts = 3; error = Failure "sim blew up" }
   in
   Alcotest.(check int) "sweep failures are runtime (1)" 1
-    (Cli.guard (fun () -> raise (Parallel.Failures [ (3, failure) ])))
+    (Cli.guard (fun () -> raise (Engine.Failures [ (3, failure) ])))
 
 let inject_faults_flag_round_trips () =
   let opts =

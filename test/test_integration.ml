@@ -12,7 +12,6 @@ module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
 module Figures = Fatnet_experiments.Figures
 module Ablations = Fatnet_experiments.Ablations
-module Parallel = Fatnet_experiments.Parallel
 module Engine = Fatnet_experiments.Sweep_engine
 module Series = Fatnet_report.Series
 
@@ -216,43 +215,6 @@ let network_heterogeneity_tracked () =
   let lat i = (List.nth r.L.clusters i).L.combined in
   Alcotest.(check bool) "fast-egress cluster is faster" true (lat 1 < lat 0)
 
-let parallel_map_matches_sequential () =
-  let xs = List.init 37 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "order and values" (List.map f xs)
-    (Parallel.map ~domains:4 f xs);
-  Alcotest.(check (list int)) "single domain" (List.map f xs)
-    (Parallel.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 f [])
-
-let parallel_map_propagates_exceptions () =
-  Alcotest.check_raises "exception surfaces" (Parallel.Failures [ (5, Exit) ]) (fun () ->
-      ignore
-        (Parallel.map ~domains:3
-           (fun x -> if x = 5 then raise Exit else x)
-           (List.init 8 (fun i -> i))))
-
-let parallel_map_aggregates_failures () =
-  (* Every element is attempted; ALL failures come back, in index
-     order, not just the first. *)
-  let f x = if x mod 3 = 0 then failwith (string_of_int x) else x in
-  (try
-     ignore (Parallel.map ~domains:4 f (List.init 7 (fun i -> i)));
-     Alcotest.fail "expected Failures"
-   with Parallel.Failures fs ->
-     Alcotest.(check (list int)) "all failing indices" [ 0; 3; 6 ] (List.map fst fs);
-     List.iter
-       (fun (i, e) ->
-         Alcotest.(check string)
-           "failure carries its own payload"
-           (string_of_int i)
-           (match e with Failure m -> m | _ -> "not a Failure"))
-       fs);
-  let outcomes = Parallel.try_map ~domains:4 f (List.init 4 (fun i -> i)) in
-  Alcotest.(check (list bool))
-    "try_map reports per-slot outcomes" [ false; true; true; false ]
-    (List.map (function Ok _ -> true | Error _ -> false) outcomes)
-
 (* The tentpole's golden claim: on the paper's N=544 organization
    (fig5, both flit sizes) the model's fitted p99 tracks the
    simulator's P² p99 at light load.  Measured agreement with the
@@ -340,10 +302,10 @@ let with_temp_cache_dir f =
     (fun () -> f dir)
 
 let sweep_bitwise_deterministic () =
-  (* The satellite regression: regenerating a figure with [domains=1]
-     and [domains=recommended] must produce bit-identical fig*.csv
-     content, and a cache hit must be bit-identical to recomputation.
-     Compared as the exact CSV strings [write_csv] would emit. *)
+  (* Regenerating a figure at any domain count must produce
+     bit-identical fig*.csv content, and a cache hit must be
+     bit-identical to recomputation.  Compared as the exact CSV
+     strings [write_csv] would emit. *)
   let spec =
     match Figures.find "fig5" with Some s -> s | None -> Alcotest.fail "fig5 missing"
   in
@@ -353,14 +315,40 @@ let sweep_bitwise_deterministic () =
          spec ~steps:3)
   in
   let sequential = csv (engine_config ~domains:1 ~cache:Engine.No_cache) in
-  let recommended = max 2 (Parallel.recommended_domains ()) in
-  let parallel = csv (engine_config ~domains:recommended ~cache:Engine.No_cache) in
-  Alcotest.(check string) "domains=1 vs domains=recommended" sequential parallel;
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "domains=1 vs domains=%d" domains)
+        sequential
+        (csv (engine_config ~domains ~cache:Engine.No_cache)))
+    [ 2; 3; 4 ];
+  let recommended = max 2 (Fatnet_numerics.Pool.recommended_domains ()) in
   with_temp_cache_dir (fun dir ->
       let cold = csv (engine_config ~domains:recommended ~cache:(Engine.Cache_dir dir)) in
       let warm = csv (engine_config ~domains:1 ~cache:(Engine.Cache_dir dir)) in
       Alcotest.(check string) "cold cached vs uncached" sequential cold;
       Alcotest.(check string) "cache hit vs recomputation" sequential warm)
+
+let sweep_runs_costliest_first () =
+  (* One domain claims the cost-sorted misses in order, so its point
+     spans start in descending [estimated_cost] order (stable: ties in
+     input order). *)
+  let points = List.map engine_point [ 1e-3; 3e-3; 2e-3; 2.5e-3 ] in
+  let tracer = Fatnet_obs.Trace.create () in
+  let config = { (engine_config ~domains:1 ~cache:Engine.No_cache) with Engine.tracer } in
+  ignore (Engine.results_exn (Engine.run ~config points));
+  let executed =
+    Fatnet_obs.Trace.spans tracer
+    |> List.filter (fun (s : Fatnet_obs.Trace.span_record) -> s.name = "point")
+    |> List.sort (fun (a : Fatnet_obs.Trace.span_record) b -> Int64.compare a.start_ns b.start_ns)
+    |> List.map (fun (s : Fatnet_obs.Trace.span_record) -> int_of_string (List.assoc "index" s.attrs))
+  in
+  let costs = List.mapi (fun i p -> (i, Engine.estimated_cost p)) points in
+  let by_cost =
+    List.map fst (List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) costs)
+  in
+  Alcotest.(check (list int)) "cost-model order" [ 1; 3; 2; 0 ] by_cost;
+  Alcotest.(check (list int)) "executed costliest first" by_cost executed
 
 let sweep_engine_stats_consistent () =
   let points = List.map engine_point [ 1e-3; 2e-3 ] in
@@ -451,12 +439,12 @@ let sweep_engine_aggregates_failures () =
   (try
      ignore (Engine.results_exn outcome);
      Alcotest.fail "expected Failures from results_exn"
-   with Parallel.Failures fs ->
+   with Engine.Failures fs ->
      Alcotest.(check (list int)) "strict unwrap re-raises by index" [ 1; 2 ] (List.map fst fs));
   (* fail_fast restores the all-or-nothing contract. *)
   match Engine.run ~config:{ config with Engine.fail_fast = true } points with
   | _ -> Alcotest.fail "expected Failures under fail_fast"
-  | exception Parallel.Failures ((_ :: _) as fs) ->
+  | exception Engine.Failures ((_ :: _) as fs) ->
       List.iter
         (fun (_, e) ->
           match e with
@@ -546,14 +534,11 @@ let () =
       ( "heterogeneity and parallelism",
         [
           Alcotest.test_case "network heterogeneity" `Slow network_heterogeneity_tracked;
-          Alcotest.test_case "parallel map" `Quick parallel_map_matches_sequential;
-          Alcotest.test_case "parallel exceptions" `Quick parallel_map_propagates_exceptions;
-          Alcotest.test_case "parallel failure aggregation" `Quick
-            parallel_map_aggregates_failures;
         ] );
       ( "sweep engine",
         [
           Alcotest.test_case "bitwise determinism" `Slow sweep_bitwise_deterministic;
+          Alcotest.test_case "costliest first" `Slow sweep_runs_costliest_first;
           Alcotest.test_case "stats and cache round-trip" `Slow sweep_engine_stats_consistent;
           Alcotest.test_case "memo layer" `Slow sweep_engine_memo_layer;
           Alcotest.test_case "failure aggregation" `Quick sweep_engine_aggregates_failures;

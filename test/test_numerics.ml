@@ -1,11 +1,13 @@
 (* Tests for the numeric substrate: compensated summation, float
-   helpers, root finding and interpolation. *)
+   helpers, root finding, interpolation, the memo and the domain
+   pool. *)
 
 module FU = Fatnet_numerics.Float_utils
 module Sum = Fatnet_numerics.Summation
 module Solver = Fatnet_numerics.Solver
 module Interp = Fatnet_numerics.Interp
 module Memo = Fatnet_numerics.Memo
+module Pool = Fatnet_numerics.Pool
 module Metrics = Fatnet_obs.Metrics
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -355,6 +357,24 @@ let memo_capacity_parallel_hammer () =
         Alcotest.(check int) (Printf.sprintf "survivor %d" k) (value k bits) v
   done
 
+let pool_run_covers_every_task () =
+  Pool.with_pool ~domains:3 (fun pool ->
+      let n = 200 in
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      let bad_domain = Atomic.make false in
+      let busy =
+        Pool.run pool n ~f:(fun d i ->
+            if d < 0 || d >= 3 then Atomic.set bad_domain true;
+            Atomic.incr hits.(i))
+      in
+      Alcotest.(check bool) "domain ids in range" false (Atomic.get bad_domain);
+      Alcotest.(check (array int)) "every task exactly once" (Array.make n 1)
+        (Array.map Atomic.get hits);
+      Alcotest.(check int) "busy seconds per domain" 3 (Array.length busy);
+      Alcotest.(check bool) "busy seconds non-negative" true
+        (Array.for_all (fun b -> b >= 0.) busy);
+      Alcotest.(check int) "empty batch" 3 (Array.length (Pool.run pool 0 ~f:(fun _ _ -> ()))))
+
 let () =
   Alcotest.run "numerics"
     [
@@ -408,4 +428,5 @@ let () =
           Alcotest.test_case "sorts input" `Quick interp_sorts_input;
           QCheck_alcotest.to_alcotest interp_within_envelope;
         ] );
+      ("pool", [ Alcotest.test_case "run covers every task" `Quick pool_run_covers_every_task ]);
     ]
