@@ -64,12 +64,13 @@
 
    A fourth summary, BENCH_model.json, tracks the analytical-model
    evaluation engine: per-evaluation throughput and allocation of the
-   record-building reference ([Latency.mean]) against the reusable
-   [Eval] workspace, and the saturation-search path cold
-   ([Latency.saturation_rate], rebuilt per system) against
-   workspace + warm-started bracketing over a family of perturbed
-   systems.  Bit-identity of the two evaluation paths is asserted in
-   process (exit 1 on a mismatch).  The workspace throughput is also
+   test tree's equation-literal reference
+   ([Reference_model.Latency.mean]) against the reusable [Eval]
+   workspace, and the saturation-search path cold
+   ([Reference_model.Latency.saturation_rate], rebuilt per system)
+   against workspace + warm-started bracketing over a family of
+   perturbed systems.  Bit-identity of the two evaluation paths —
+   mean and p99 — is asserted in process (exit 1 on a mismatch).  The workspace throughput is also
    compared against the committed BENCH_model.json; report-only
    unless FATNET_BENCH_MODEL_GUARD_TOL is set.
 
@@ -111,8 +112,9 @@
    wall time (per-flit and streaming engines, measured in the same
    process).  The run fails (exit 1) if the worst-case fraction
    exceeds FATNET_BENCH_TAIL_TOL (default 5%).  Model-side tail
-   throughput (Eval.quantile: shifted-exponential mixture build +
-   bracketed inversion) is reported alongside, report-only.
+   throughput (Eval.quantile: recorded stage walk, shifted-exponential
+   mixture fit + bracketed inversion) is reported alongside,
+   report-only.
 
      FATNET_BENCH_TAIL=0            skip the distribution-overhead guard
      FATNET_BENCH_TAIL_SAMPLES=n    replayed latency samples (default 200000)
@@ -166,14 +168,15 @@ let bench_table2 =
          ignore
            (Fatnet_model.Service_time.relaxing_factor ~ecn1:Presets.net2 ~icn2:Presets.net1)))
 
-(* One model evaluation per figure, at mid-range load. *)
+(* One model evaluation per figure, at mid-range load, on the figure
+   scenario's prebuilt workspace. *)
 let bench_figure spec =
   let curve = List.hd spec.Figures.curves in
-  let scn = curve.Figures.scenario in
+  let ws = Scenario.evaluator curve.Figures.scenario in
   let lambda_g = 0.5 *. spec.Figures.lambda_max in
   Test.make
     ~name:(spec.Figures.id ^ ":model-eval")
-    (Staged.stage (fun () -> ignore (Scenario.model_evaluate ~lambda_g scn)))
+    (Staged.stage (fun () -> ignore (Fatnet_model.Eval.mean_into ws ~lambda_g)))
 
 (* Substrate benchmarks. *)
 let bench_routing =
@@ -610,7 +613,7 @@ let obs_guard () =
 (* ---- model evaluation engine (BENCH_model.json) ---- *)
 
 module Eval = Fatnet_model.Eval
-module Latency = Fatnet_model.Latency
+module Latency = Reference_model.Latency
 module Solver = Fatnet_numerics.Solver
 
 let with_model = env_int "FATNET_BENCH_MODEL" 1 <> 0
@@ -670,14 +673,22 @@ let model_org_json (org_name, system) =
   Array.iter
     (fun frac ->
       let lambda_g = frac *. sat in
-      let reference = Latency.mean ~system ~message:message32 ~lambda_g () in
-      let fast = Eval.mean_into ws ~lambda_g in
-      if Int64.bits_of_float reference <> Int64.bits_of_float fast then begin
-        Printf.eprintf
-          "model bench: BIT MISMATCH on %s at lambda_g=%g: reference %h, workspace %h\n%!"
-          org_name lambda_g reference fast;
-        exit 1
-      end)
+      let check what reference fast =
+        if Int64.bits_of_float reference <> Int64.bits_of_float fast then begin
+          Printf.eprintf
+            "model bench: BIT MISMATCH (%s) on %s at lambda_g=%g: reference %h, workspace %h\n%!"
+            what org_name lambda_g reference fast;
+          exit 1
+        end
+      in
+      check "mean"
+        (Latency.mean ~system ~message:message32 ~lambda_g ())
+        (Eval.mean_into ws ~lambda_g);
+      check "p99"
+        (Fatnet_model.Tail.quantile
+           (Reference_model.tail ~system ~message:message32 ~lambda_g ())
+           0.99)
+        (Eval.quantile ws ~lambda_g ~q:0.99))
     fracs;
   let time_evals eval =
     ignore (eval (lambda 0));
@@ -803,7 +814,7 @@ let model_bench_json () =
   Printf.sprintf
     "{\n\
     \  \"suite\": \"analytical model engine, m_flits=32 d_m_bytes=256, %d evals, %d perturbed searches\",\n\
-    \  \"note\": \"reference is the record-building Latency.mean / cold Latency.saturation_rate path; workspace is Eval.mean_into over a prebuilt workspace, warm saturation threads one bracket across the perturbed family; bit-identity of the two evaluation paths is asserted in process\",\n\
+    \  \"note\": \"reference is the equation-literal test reference (Reference_model.Latency.mean / cold Reference_model.Latency.saturation_rate); workspace is Eval.mean_into over a prebuilt workspace, warm saturation threads one bracket across the perturbed family; bit-identity of the two evaluation paths is asserted in process\",\n\
     \  \"organizations\": [\n%s\n  ],\n\
     \  \"pass\": %b\n\
      }\n"

@@ -6,7 +6,7 @@
    `cluster_model --clusters 4 --depth 2 --arity 4 --saturation` *)
 
 module Params = Fatnet_model.Params
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 module Scenario = Fatnet_scenario.Scenario
 module Cli = Fatnet_cli.Cli
 module Metrics = Fatnet_obs.Metrics
@@ -15,31 +15,28 @@ module Table = Fatnet_report.Table
 
 let print_breakdown (scn : Scenario.t) =
   let lambda_g = Scenario.require_lambda scn in
-  let r = Scenario.model_evaluate scn in
-  Printf.printf "mean latency at λ_g=%g: %g\n\n" lambda_g r.Latency.mean_latency;
+  let b = Eval.breakdown (Scenario.evaluator scn) ~lambda_g in
+  Printf.printf "mean latency at λ_g=%g: %g\n\n" lambda_g b.Eval.mean;
   let table =
     Table.create
       ~columns:[ "cluster"; "N_i"; "U_i"; "L_in"; "W_in"; "T_in"; "E_in"; "L_out"; "combined" ]
   in
-  List.iter
-    (fun c ->
-      let open Latency in
-      let i = c.intra in
+  Array.iteri
+    (fun k (c : Eval.cluster) ->
+      let i = c.Eval.intra in
       Table.add_row table
-        ([ string_of_int c.cluster; string_of_int c.nodes; Printf.sprintf "%.4f" c.u ]
+        ([ string_of_int k; string_of_int c.Eval.nodes; Printf.sprintf "%.4f" c.Eval.u ]
         @ List.map
             (fun x -> if Float.is_finite x then Printf.sprintf "%.5g" x else "sat.")
             [
-              i.Fatnet_model.Intra.total;
-              i.Fatnet_model.Intra.waiting;
-              i.Fatnet_model.Intra.network;
-              i.Fatnet_model.Intra.tail;
-              (match c.inter with
-              | None -> nan
-              | Some x -> x.Fatnet_model.Inter.total);
-              c.combined;
+              c.Eval.intra_total;
+              i.Eval.waiting;
+              i.Eval.network;
+              i.Eval.tail;
+              c.Eval.inter_total;
+              c.Eval.combined;
             ]))
-    r.Latency.clusters;
+    b.Eval.clusters;
   Table.print table
 
 let run scenario system message lambda sweep steps saturation domains mopts topts =
@@ -75,22 +72,16 @@ let run scenario system message lambda sweep steps saturation domains mopts topt
       b.Fatnet_model.Utilization.saturates_at
   end;
   if sweep then begin
-    (* Grid evaluation on the model's domain pool; bit-identical to
-       the sequential sweep at any [--domains] value. *)
-    let s =
-      Fatnet_model.Eval.Pool.with_pool ~domains (fun pool ->
-          Fatnet_model.Sweep.up_to_saturation_pool pool ~system:sys ~message:msg ~steps ())
-    in
+    (* Grid evaluation of the scenario's own workspace on the model's
+       domain pool; bit-identical at any [--domains] value. *)
+    let points = Eval.Pool.with_pool ~domains (fun pool -> Scenario.model_sweep pool ~steps scn) in
     let table = Table.create ~columns:[ "lambda_g"; "mean latency" ] in
-    List.iter
-      (fun p ->
-        Table.add_float_row table [ p.Fatnet_model.Sweep.lambda_g; p.Fatnet_model.Sweep.latency ])
-      s.Fatnet_model.Sweep.points;
+    Array.iter (fun (l, latency) -> Table.add_float_row table [ l; latency ]) points;
     Table.print table;
     Fatnet_report.Ascii_plot.print ~height:14
       [
         Fatnet_report.Series.create ~name:"mean latency"
-          ~points:(Fatnet_model.Sweep.finite_points s);
+          ~points:(List.filter (fun (_, l) -> Float.is_finite l) (Array.to_list points));
       ]
   end
   else if not saturation then print_breakdown scn);

@@ -349,12 +349,10 @@ let cmd_sweep file scenario out_dir opts mopts topts =
          cell) so the load axis stays aligned; the CSV carries
          survivors only. *)
       let cell x = if Float.is_finite x then Printf.sprintf "%.6g" x else "sat." in
-      (* One workspace for both the table's model column and the CSV
-         model series — bit-identical to [Scenario.model_mean]. *)
+      (* One workspace for the table's model column, the CSV model
+         series and the model p99 (the tail fit reads the same walk's
+         breakdown). *)
       let ws = Scenario.evaluator scn in
-      (* The model p99 reuses [ws]'s system/message/variants but runs
-         the record-building tail fit — cheap next to the simulation
-         it sits beside. *)
       let model_p99 lambda_g = Fatnet_model.Eval.quantile ws ~lambda_g ~q:0.99 in
       List.iteri
         (fun i lambda_g ->

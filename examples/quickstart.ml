@@ -6,7 +6,7 @@
 
 module Params = Fatnet_model.Params
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 module Runner = Fatnet_sim.Runner
 
 let () =
@@ -24,8 +24,11 @@ let () =
   (* Messages of 32 flits, 256 bytes per flit. *)
   let message = Presets.message ~m_flits:32 ~d_m_bytes:256. in
 
+  (* One evaluation workspace serves every question below. *)
+  let ws = Eval.workspace ~system ~message () in
+
   (* Where does the model say the network saturates? *)
-  let saturation = Latency.saturation_rate ~system ~message () in
+  let saturation = Eval.saturation_rate ws in
   Printf.printf "predicted saturation: λ_g = %.4g messages/node/time-unit\n\n" saturation;
 
   (* Predict and simulate at a few fractions of that rate. *)
@@ -36,7 +39,7 @@ let () =
   List.iter
     (fun percent ->
       let lambda_g = float_of_int percent /. 100. *. saturation in
-      let model = Latency.mean ~system ~message ~lambda_g () in
+      let model = Eval.mean_into ws ~lambda_g in
       let sim =
         Runner.mean_latency ~config:Runner.quick_config ~system ~message ~lambda_g ()
       in
@@ -54,11 +57,11 @@ let () =
   (* The per-cluster breakdown shows the heterogeneity: small
      clusters send almost everything through the egress networks. *)
   print_newline ();
-  let r = Latency.evaluate ~system ~message ~lambda_g:(0.3 *. saturation) () in
-  List.iter
-    (fun c ->
+  let b = Eval.breakdown ws ~lambda_g:(0.3 *. saturation) in
+  Array.iteri
+    (fun i (c : Eval.cluster) ->
       Printf.printf
         "cluster %d: %d nodes, U=%.3f (fraction of traffic leaving), latency %.4g\n"
-        c.Latency.cluster c.Latency.nodes c.Latency.u c.Latency.combined)
-    r.Latency.clusters;
-  Printf.printf "\nweighted mean latency: %.4g\n" r.Latency.mean_latency
+        i c.Eval.nodes c.Eval.u c.Eval.combined)
+    b.Eval.clusters;
+  Printf.printf "\nweighted mean latency: %.4g\n" b.Eval.mean

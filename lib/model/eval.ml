@@ -1,22 +1,23 @@
-(* The allocation-free evaluation engine behind topology searches and
-   sweep inner loops.
+(* The model's evaluation engine: one stage walk of Eqs. (1)-(39).
 
-   [Latency.evaluate] rebuilds every λ-invariant quantity — service
-   times, distance distributions, outgoing probabilities, per-pair
-   tail sums — on each call, then allocates per-cluster and per-pair
-   breakdown records.  A [workspace] hoists all of that out: it is
-   built once per (system, message, variants, pattern) and
-   [mean_into] then computes Eq. (3) for any λ touching nothing but
-   the precomputed tables and a small scratch array.
+   A [workspace] is built once per (system, message, variants,
+   pattern) and holds every λ-invariant quantity — service times,
+   distance distributions, outgoing probabilities, per-pair tail
+   sums.  [walk] then computes Eq. (3) for any λ touching nothing but
+   those tables and a small scratch array.  With recording off it is
+   [mean_into], allocation-free; with recording on it also writes the
+   per-cluster and per-pair intermediates into a buffer kept in the
+   workspace, which [breakdown] and the [Tail] fit read back.
 
    Bit-identity discipline: every hoisted expression keeps the exact
-   operand order of the original ([*.] and [+.] are left-associative
-   and IEEE-754 ops are deterministic), the stage walk mirrors
-   [Blocking.stage_service_times] scalar-for-scalar, and the M/G/1
-   wait goes through [Mg1.waiting_time_mv] — the same code
-   [Mg1.waiting_time] delegates to.  The QCheck suite pins
-   [mean_into] to [Latency.mean] bit-for-bit; any arithmetic change
-   here or in Intra/Inter/Latency must keep the two in lockstep. *)
+   operand order of the paper's equations as the equation-literal
+   reference in the test tree writes them ([*.] and [+.] are
+   left-associative and IEEE-754 ops are deterministic), the stage
+   walk mirrors [Blocking.stage_service_times] scalar-for-scalar, and
+   the M/G/1 wait mirrors [Mg1.waiting_time_mv].  The QCheck suite
+   pins the walk, the breakdown and the tail fit to that reference
+   bit-for-bit; an arithmetic change on either side must keep the two
+   in lockstep. *)
 
 module Metrics = Fatnet_obs.Metrics
 
@@ -65,6 +66,10 @@ type workspace = {
   per_node : bool;
   pair_average : bool;
   scratch : float array;
+  (* The recording buffer: allocated by the first [breakdown]/[tail]
+     and reused after.  Layout: cluster [i] at [cluster_base i],
+     its [k]-th pair at [pair_base ws i k]. *)
+  mutable record : float array;
   (* Cached (registry, counter) so the hot path never does a registry
      lookup: revalidated by physical equality on the ambient. *)
   mutable mreg : Metrics.t;
@@ -81,7 +86,7 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
   let u =
     match outgoing with
     | Some f -> f
-    | None -> fun k -> Latency.outgoing_probability ~system ~cluster:k
+    | None -> fun k -> Pattern.outgoing_probability Pattern.Uniform ~system ~cluster:k
   in
   let m_f = float_of_int message.Params.length_flits in
   let dist_c =
@@ -160,8 +165,8 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
               let t_cs_e_j = t_cs_e_raw.(j) in
               let t_cn_e_j = t_cn_e_raw.(j) in
               (* Eq. (34) weighted over the (r, v, l) journey mix —
-                 the same triple fold and accumulation as
-                 [Inter.evaluate], just hoisted out of the λ loop. *)
+                 the paper's triple fold and accumulation order, just
+                 hoisted out of the λ loop. *)
               let tail = ref 0. in
               Array.iteri
                 (fun ri p_r ->
@@ -210,6 +215,7 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     per_node = variants.Variants.source_rate = Variants.Per_node;
     pair_average = variants.Variants.lambda_i2 = Variants.Pair_average;
     scratch = Array.make 8 0.;
+    record = [||];
     mreg = reg;
     mctr = Metrics.counter reg "model_evaluations";
   }
@@ -237,7 +243,21 @@ let[@inline] mg1_wait ~lambda ~mean ~variance =
     if rho >= 1. then infinity
     else lambda *. ((mean *. mean) +. variance) /. (2. *. (1. -. rho))
 
-let mean_into ws ~lambda_g =
+(* Recording-buffer layout: per cluster [cluster_stride] floats
+   (network, waiting, source rate, intra total, inter total, combined),
+   then per (cluster, k-th destination) pair [pair_stride] floats
+   (network, waiting, C/D wait, source rate, λ_I2). *)
+let cluster_stride = 6
+let pair_stride = 5
+let cluster_base i = cluster_stride * i
+let pair_base ws i k = (cluster_stride * ws.c_count) + (pair_stride * ((i * (ws.c_count - 1)) + k))
+
+(* One stage walk of Eqs. (1)-(39).  [record] writes the intermediates
+   into [ws.record]; the stores sit outside the stage loops and never
+   feed back into the arithmetic, so the returned bits are the same
+   either way.  Inlined so that [mean_into] gets its own copy with the
+   recording branches folded away (without it org_544 ran ~2 % slower). *)
+let[@inline] walk ws ~record ~lambda_g =
   if lambda_g < 0. then invalid_arg "Eval.mean_into: negative lambda_g";
   let reg = Metrics.ambient () in
   if reg != ws.mreg then begin
@@ -246,6 +266,7 @@ let mean_into ws ~lambda_g =
   end;
   Metrics.incr ws.mctr;
   let acc = ws.scratch in
+  let buf = ws.record in
   acc.(0) <- 0.;
   for i = 0 to ws.c_count - 1 do
     let cp = ws.clusters.(i) in
@@ -278,8 +299,8 @@ let mean_into ws ~lambda_g =
     let source_lambda = if ws.per_node then lambda_g *. cp.one_minus_u else lambda_icn1 in
     let waiting = mg1_wait ~lambda:source_lambda ~mean:network ~variance in
     let intra_total = waiting +. network +. cp.tail_intra in
-    let combined =
-      if ws.c_count < 2 then intra_total
+    let inter_total =
+      if ws.c_count < 2 then nan
       else begin
         (* ---- inter, Eqs. (20)-(39) ---- *)
         acc.(4) <- 0.;
@@ -337,23 +358,43 @@ let mean_into ws ~lambda_g =
           in
           let source_lambda = if ws.per_node then lambda_g *. cp.u else lambda_ecn1 in
           let waiting = mg1_wait ~lambda:source_lambda ~mean:network ~variance in
-          let cd_one =
-            mg1_wait ~lambda:lambda_icn2 ~mean:ws.int_i2 ~variance:cp.cd_variance
+          let cd_wait =
+            2. *. mg1_wait ~lambda:lambda_icn2 ~mean:ws.int_i2 ~variance:cp.cd_variance
           in
           acc.(4) <- acc.(4) +. (waiting +. network +. pr.tail_pair);
-          acc.(5) <- acc.(5) +. (2. *. cd_one)
+          acc.(5) <- acc.(5) +. cd_wait;
+          if record then begin
+            let o = pair_base ws i k in
+            buf.(o) <- network;
+            buf.(o + 1) <- waiting;
+            buf.(o + 2) <- cd_wait;
+            buf.(o + 3) <- source_lambda;
+            buf.(o + 4) <- lambda_icn2
+          end
         done;
         let l_ex = acc.(4) /. ws.count_f in
         let w_d = acc.(5) /. ws.count_f in
-        let inter_total = l_ex +. w_d in
-        (cp.u *. inter_total) +. (cp.one_minus_u *. intra_total)
+        l_ex +. w_d
       end
     in
+    let combined =
+      if ws.c_count < 2 then intra_total
+      else (cp.u *. inter_total) +. (cp.one_minus_u *. intra_total)
+    in
+    if record then begin
+      let o = cluster_base i in
+      buf.(o) <- network;
+      buf.(o + 1) <- waiting;
+      buf.(o + 2) <- source_lambda;
+      buf.(o + 3) <- intra_total;
+      buf.(o + 4) <- inter_total;
+      buf.(o + 5) <- combined
+    end;
     acc.(0) <- acc.(0) +. (cp.weight *. combined)
   done;
   acc.(0)
 
-let mean = mean_into
+let mean_into ws ~lambda_g = walk ws ~record:false ~lambda_g
 
 (* Memoised front: the memo key is (scenario canonical hash, λ bits),
    so a hit returns the exact bits a fresh [mean_into] would produce —
@@ -367,32 +408,117 @@ let mean_memo ?memo ?key ws ~lambda_g =
         ~bits:(Int64.bits_of_float lambda_g) (fun () -> mean_into ws ~lambda_g)
   | _ -> mean_into ws ~lambda_g
 
-let is_saturated ws ~lambda_g =
-  not (Fatnet_numerics.Float_utils.is_finite (mean_into ws ~lambda_g))
+let recorded_walk ws ~lambda_g =
+  if Array.length ws.record = 0 then
+    ws.record <- Array.make (pair_base ws ws.c_count 0) 0.;
+  walk ws ~record:true ~lambda_g
 
-(* Distribution view: quantiles come from the Tail mixture fitted on
-   the reference evaluation (the record-building path — the tail fit
-   needs the per-cluster breakdowns, which the allocation-free fast
-   path never materialises).  The workspace's outgoing probabilities
-   are reused, so a Pattern-extended workspace yields
-   pattern-consistent tails. *)
-let tail ws ~lambda_g =
-  let outgoing k = ws.clusters.(k).u in
-  let l =
-    Latency.evaluate ~variants:ws.variants ~outgoing ~system:ws.system ~message:ws.message
-      ~lambda_g ()
+type intra = { network : float; waiting : float; tail : float; source_rate : float }
+
+type pair = {
+  dest : int;
+  network : float;
+  waiting : float;
+  tail : float;
+  cd_wait : float;
+  source_rate : float;
+  lambda_icn2 : float;
+}
+
+type cluster = {
+  nodes : int;
+  u : float;
+  intra : intra;
+  pairs : pair array;
+  intra_total : float;
+  inter_total : float;
+  combined : float;
+}
+
+type breakdown = { mean : float; clusters : cluster array }
+
+let breakdown ws ~lambda_g =
+  let mean = recorded_walk ws ~lambda_g in
+  let b = ws.record in
+  let cluster i =
+    let cp = ws.clusters.(i) and o = cluster_base i in
+    let pair k (pr : pair_pre) =
+      let o = pair_base ws i k in
+      {
+        dest = pr.dest;
+        network = b.(o);
+        waiting = b.(o + 1);
+        tail = pr.tail_pair;
+        cd_wait = b.(o + 2);
+        source_rate = b.(o + 3);
+        lambda_icn2 = b.(o + 4);
+      }
+    in
+    {
+      nodes = Params.cluster_nodes ws.system i;
+      u = cp.u;
+      intra =
+        { network = b.(o); waiting = b.(o + 1); tail = cp.tail_intra; source_rate = b.(o + 2) };
+      pairs = Array.mapi pair ws.pairs.(i);
+      intra_total = b.(o + 3);
+      inter_total = b.(o + 4);
+      combined = b.(o + 5);
+    }
   in
-  Tail.of_latency ~variants:ws.variants ~system:ws.system ~message:ws.message ~lambda_g l
+  { mean; clusters = Array.init ws.c_count cluster }
+
+let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
+
+(* The Tail mixture, read straight off the recording buffer: one
+   shifted exponential for each cluster's intra traffic, then one per
+   destination pair, in cluster order.  Each busy probability ρ is
+   the utilization the walk's own M/G/1 waits saw (source rate ×
+   network latency, and λ_I2 × the C/D service for both buffers). *)
+let tail ws ~lambda_g =
+  let mean = recorded_walk ws ~lambda_g in
+  let b = ws.record in
+  let components = ref [] in
+  for i = ws.c_count - 1 downto 0 do
+    let cp = ws.clusters.(i) in
+    let prs = ws.pairs.(i) in
+    for k = Array.length prs - 1 downto 0 do
+      let o = pair_base ws i k in
+      let network = b.(o) in
+      let rho_src = clamp01 (b.(o + 3) *. network) in
+      let rho_cd = clamp01 (b.(o + 4) *. ws.int_i2) in
+      components :=
+        {
+          Tail.weight = cp.weight *. cp.u /. ws.count_f;
+          floor = network +. prs.(k).tail_pair;
+          wait_mean = b.(o + 1) +. b.(o + 2);
+          sigma = 1. -. ((1. -. rho_src) *. (1. -. rho_cd) *. (1. -. rho_cd));
+        }
+        :: !components
+    done;
+    let o = cluster_base i in
+    components :=
+      {
+        Tail.weight = cp.weight *. cp.one_minus_u;
+        floor = b.(o) +. cp.tail_intra;
+        wait_mean = b.(o + 1);
+        sigma = clamp01 (b.(o + 2) *. b.(o));
+      }
+      :: !components
+  done;
+  { Tail.mean; components = !components }
 
 let quantile ws ~lambda_g ~q = Tail.quantile (tail ws ~lambda_g) q
 
 let saturation_rate ?state ?(tol = 1e-9) ws =
-  let saturated lambda_g = is_saturated ws ~lambda_g in
+  let saturated lambda_g =
+    not (Fatnet_numerics.Float_utils.is_finite (mean_into ws ~lambda_g))
+  in
   let rate =
     match state with
     | Some state -> Fatnet_numerics.Solver.boundary_warm ~tol ~state ~pred:saturated ~lo:0. ()
     | None ->
-        (* The canonical cold sequence, as in [Latency.saturation_rate]. *)
+        (* The canonical cold sequence: bracket up from 1e-9, then
+           locate the boundary. *)
         let hi = Fatnet_numerics.Solver.find_upper_bracket ~f:saturated ~lo:1e-9 () in
         if hi <= 1e-9 then hi
         else Fatnet_numerics.Solver.boundary ~tol ~pred:saturated ~lo:0. ~hi ()

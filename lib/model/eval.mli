@@ -1,21 +1,20 @@
-(** Allocation-free model evaluation.
+(** The model's evaluation engine: Eqs. (1)–(39) as one stage walk
+    over a precomputed {!workspace}.
 
-    {!Latency.evaluate} is the record-building reference
-    implementation: call it when you want the per-cluster breakdown.
-    This module is the hot path behind topology searches and sweep
-    inner loops: a {!workspace} built once per
-    [(system, message, variants, pattern)] precomputes every
-    λ-invariant quantity — service times, distance distributions,
-    outgoing probabilities, Eq. (19)/(34) tail sums, ICN2 depth
-    constants — and {!mean_into} then evaluates Eq. (3) for any λ
-    without allocating.
+    A workspace built once per [(system, message, variants, pattern)]
+    precomputes every λ-invariant quantity — service times, distance
+    distributions, outgoing probabilities, Eq. (19)/(34) tail sums,
+    ICN2 depth constants.  {!mean_into} then evaluates Eq. (3) for any
+    λ without allocating; {!breakdown} runs the same walk and also
+    returns the per-cluster and per-pair components, and {!tail} fits
+    the latency-distribution mixture from them.
 
-    The fast path is {b bit-identical} to [Latency.mean]: every
-    hoisted expression keeps the reference operand order, pinned by
-    QCheck property tests and golden tests on both paper
-    organizations.  Telemetry matches too: each {!mean_into} bumps
-    [model_evaluations] and {!saturation_rate} sets the
-    [model_saturation_rate] gauge, exactly like the slow path.
+    Every result is {b bit-identical} to the paper's equation-literal
+    model, which the test tree keeps as a reference: QCheck property
+    tests and golden tests on both paper organizations pin the mean,
+    the saturation rate, every breakdown field and every tail
+    component.  Each walk bumps [model_evaluations] and
+    {!saturation_rate} sets the [model_saturation_rate] gauge.
 
     A workspace is single-domain: it carries mutable scratch, so
     share one per domain, not across domains. *)
@@ -31,17 +30,14 @@ val workspace :
   workspace
 (** Validate the system and precompute all λ-invariant terms.
     [outgoing] overrides Eq. (2) per cluster (the {!Pattern}
-    extension); values outside [[0, 1]] raise.
+    extension, e.g. [Pattern.outgoing_probability]); values outside
+    [[0, 1]] raise.
     @raise Invalid_argument when the system fails validation. *)
 
 val mean_into : workspace -> lambda_g:float -> float
 (** Eq. (3) at [lambda_g]; [infinity] (or NaN in degenerate
-    zero-outgoing corners, as with [Latency.mean]) past saturation.
-    Bit-identical to [Latency.mean] with the same inputs, and
-    allocation-free.  @raise Invalid_argument on negative rates. *)
-
-val mean : workspace -> lambda_g:float -> float
-(** Alias of {!mean_into}. *)
+    zero-outgoing corners) past saturation.  Allocation-free.
+    @raise Invalid_argument on negative rates. *)
 
 val mean_memo :
   ?memo:float Fatnet_numerics.Memo.t ->
@@ -56,16 +52,50 @@ val mean_memo :
     the bits a fresh evaluation would.  Without both [memo] and
     [key] this is plain {!mean_into}. *)
 
-val is_saturated : workspace -> lambda_g:float -> bool
-(** The predicted latency diverged at this rate. *)
+(** {1 Component breakdown} *)
+
+type intra = {
+  network : float;  (** probability-weighted head latency, Eq. (5) *)
+  waiting : float;  (** source-queue wait, Eq. (15) *)
+  tail : float;  (** tail-flit drain, Eq. (19) *)
+  source_rate : float;  (** arrival rate the source queue saw *)
+}
+
+type pair = {
+  dest : int;  (** destination cluster *)
+  network : float;  (** merged-pipeline head latency, Eqs. (20)–(30) *)
+  waiting : float;  (** egress source-queue wait, Eq. (31) *)
+  tail : float;  (** tail-flit drain, Eq. (34) *)
+  cd_wait : float;  (** both C/D buffer waits, Eqs. (36)–(37) *)
+  source_rate : float;  (** arrival rate the source queue saw *)
+  lambda_icn2 : float;  (** per-C/D rate, Eq. (23) *)
+}
+
+type cluster = {
+  nodes : int;
+  u : float;  (** outgoing probability, Eq. (2) or the pattern's *)
+  intra : intra;
+  pairs : pair array;  (** destinations ascending, the source skipped *)
+  intra_total : float;  (** waiting + network + tail of the intra traffic *)
+  inter_total : float;  (** Eq. (39); [nan] for a single cluster *)
+  combined : float;  (** Eq. (1) *)
+}
+
+type breakdown = {
+  mean : float;  (** Eq. (3): the bits {!mean_into} returns *)
+  clusters : cluster array;
+}
+
+val breakdown : workspace -> lambda_g:float -> breakdown
+(** The stage walk at [lambda_g] with recording on, read back per
+    cluster and per pair.  The recording buffer is allocated on the
+    workspace's first [breakdown]/{!tail} and reused after. *)
 
 val tail : workspace -> lambda_g:float -> Tail.t
 (** The fitted latency-distribution mixture ({!Tail}) at [lambda_g],
-    under the workspace's variants and outgoing probabilities.  This
-    runs the record-building reference evaluation (the tail fit needs
-    the per-cluster breakdowns), so it is not allocation-free — fit
-    once per operating point and read several quantiles off the
-    result. *)
+    under the workspace's variants and outgoing probabilities: one
+    component per cluster's intra traffic, then one per destination
+    pair, each fitted from the recorded walk.  One walk per call. *)
 
 val quantile : workspace -> lambda_g:float -> q:float -> float
 (** [Tail.quantile (tail ws ~lambda_g) q]: the model's predicted
@@ -75,8 +105,8 @@ val quantile : workspace -> lambda_g:float -> q:float -> float
 val saturation_rate :
   ?state:Fatnet_numerics.Solver.bracket_state -> ?tol:float -> workspace -> float
 (** The divergence rate.  Without [state] this runs the canonical
-    cold search and is bit-identical to [Latency.saturation_rate].
-    With [state], successive calls warm-start from the previous
+    cold search: bracket up from [1e-9], then locate the divergence
+    boundary.  With [state], successive calls warm-start from the previous
     solve's bracket ({!Fatnet_numerics.Solver.boundary_warm}) — the
     first call against a fresh state still runs the cold sequence
     bit-for-bit. *)

@@ -2,7 +2,12 @@ type t = Uniform | Local of { p_local : float }
 
 let outgoing_probability t ~system ~cluster =
   match t with
-  | Uniform -> Latency.outgoing_probability ~system ~cluster
+  | Uniform ->
+      (* Eq. (2): uniform destinations over the other N − 1 nodes. *)
+      let total = Params.total_nodes system in
+      let nodes = Params.cluster_nodes system cluster in
+      if total <= 1 then 0.
+      else 1. -. (float_of_int (nodes - 1) /. float_of_int (total - 1))
   | Local { p_local } ->
       if p_local < 0. || p_local > 1. then invalid_arg "Pattern: p_local must be in [0,1]";
       let size = Params.cluster_nodes system cluster in
@@ -10,10 +15,3 @@ let outgoing_probability t ~system ~cluster =
       (* Degenerate clusters fall back to whatever destinations
          exist, mirroring the workload generator's behaviour. *)
       if total - size = 0 then 0. else if size <= 1 then 1. else 1. -. p_local
-
-let evaluate ?variants ~pattern ~system ~message ~lambda_g () =
-  let outgoing cluster = outgoing_probability pattern ~system ~cluster in
-  Latency.evaluate ?variants ~outgoing ~system ~message ~lambda_g ()
-
-let mean ?variants ~pattern ~system ~message ~lambda_g () =
-  (evaluate ?variants ~pattern ~system ~message ~lambda_g ()).Latency.mean_latency

@@ -21,24 +21,5 @@ type t =
   | Local of { p_local : float } (** [p_local ∈ [0, 1]] *)
 
 val outgoing_probability : t -> system:Params.system -> cluster:int -> float
-(** The pattern's [U_i]. *)
-
-val evaluate :
-  ?variants:Variants.t ->
-  pattern:t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  Latency.t
-(** Eqs. (1)–(39) with the pattern's outgoing probabilities in place
-    of Eq. (2). *)
-
-val mean :
-  ?variants:Variants.t ->
-  pattern:t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  float
+(** The pattern's [U_i]: Eq. (2) for [Uniform].  {!Eval.workspace}
+    takes it as its [outgoing] override. *)

@@ -18,7 +18,8 @@
    the independent queues is busy — a two-parameter phase-type
    collapse of the convolution.  Quantiles come from inverting the
    mixture CDF by bisection, so predicted p50/p90/p99/p999 line up
-   with the simulator's ladder. *)
+   with the simulator's ladder.  The fit itself lives next to the
+   stage walk that produces its inputs ([Eval.tail]). *)
 
 type component = {
   weight : float;  (* mixture probability: node share x class share *)
@@ -28,8 +29,6 @@ type component = {
 }
 
 type t = { mean : float; components : component list }
-
-let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
 (* P(W <= t) of one component's wait: a mass of 1 - sigma at zero
    plus sigma x Exponential(sigma / wait_mean), so E[W] = wait_mean. *)
@@ -74,63 +73,3 @@ let quantile t q =
       !hi
     end
   end
-
-let of_latency ?(variants = Variants.default) ~(system : Params.system)
-    ~(message : Params.message) ~lambda_g (l : Latency.t) =
-  let total_nodes = float_of_int (Params.total_nodes system) in
-  let cd_service = Service_time.message_time (Service_time.t_cs system.Params.icn2 ~message) ~message in
-  let components =
-    List.concat_map
-      (fun (r : Latency.cluster_result) ->
-        let node_share = float_of_int r.Latency.nodes /. total_nodes in
-        let intra = r.Latency.intra in
-        (* Eq. (15)'s source queue: rho recovers exactly the
-           utilization Mg1.waiting_time saw (service mean = the
-           network latency, arrival rate per the source-rate
-           variant). *)
-        let intra_lambda =
-          match variants.Variants.source_rate with
-          | Variants.Per_node -> lambda_g *. (1. -. r.Latency.u)
-          | Variants.Network_total -> intra.Intra.lambda_icn1
-        in
-        let intra_c =
-          {
-            weight = node_share *. (1. -. r.Latency.u);
-            floor = intra.Intra.network +. intra.Intra.tail;
-            wait_mean = intra.Intra.waiting;
-            sigma = clamp01 (intra_lambda *. intra.Intra.network);
-          }
-        in
-        let inter_cs =
-          match r.Latency.inter with
-          | None -> []
-          | Some ex ->
-              let pair_count = float_of_int (List.length ex.Inter.pairs) in
-              List.map
-                (fun (p : Inter.pair_breakdown) ->
-                  let src_lambda =
-                    match variants.Variants.source_rate with
-                    | Variants.Per_node -> lambda_g *. r.Latency.u
-                    | Variants.Network_total -> p.Inter.lambda_ecn1
-                  in
-                  let rho_src = clamp01 (src_lambda *. p.Inter.network) in
-                  let rho_cd = clamp01 (p.Inter.lambda_icn2 *. cd_service) in
-                  (* Source wait + two C/D waits: summed means, busy
-                     probability of the three-queue composite. *)
-                  {
-                    weight = node_share *. r.Latency.u /. pair_count;
-                    floor = p.Inter.network +. p.Inter.tail;
-                    wait_mean = p.Inter.waiting +. p.Inter.cd_wait;
-                    sigma =
-                      1. -. ((1. -. rho_src) *. (1. -. rho_cd) *. (1. -. rho_cd));
-                  })
-                ex.Inter.pairs
-        in
-        intra_c :: inter_cs)
-      l.Latency.clusters
-  in
-  { mean = l.Latency.mean_latency; components }
-
-let evaluate ?variants ?outgoing ~system ~message ~lambda_g () =
-  let l = Latency.evaluate ?variants ?outgoing ~system ~message ~lambda_g () in
-  of_latency ?variants ~system ~message ~lambda_g l

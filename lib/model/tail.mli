@@ -11,7 +11,8 @@
     class-weighted mixture CDF.  Composite inter-cluster waits
     (source queue + two C/D buffers) keep the summed mean and take
     [sigma = 1 - prod (1 - rho_k)], a two-parameter phase-type
-    collapse of the convolution.
+    collapse of the convolution.  {!Eval.tail} fits the mixture from
+    the evaluation walk's per-cluster and per-pair breakdown.
 
     Validated against simulated distributions in the test suite (the
     predicted p99 tracks the simulator's P² estimate on the paper
@@ -25,27 +26,6 @@ type component = {
 }
 
 type t = { mean : float; components : component list }
-
-val of_latency :
-  ?variants:Variants.t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  Latency.t ->
-  t
-(** Fit the mixture to an evaluated mean model.  [variants] must be
-    the ones the evaluation used (they decide which arrival rate each
-    source queue saw). *)
-
-val evaluate :
-  ?variants:Variants.t ->
-  ?outgoing:(int -> float) ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  t
-(** {!Latency.evaluate} followed by {!of_latency}. *)
 
 val cdf : t -> float -> float
 (** [cdf t x] = P(latency <= x) under the mixture. *)

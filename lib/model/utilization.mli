@@ -7,7 +7,7 @@
     sweeping latency to divergence.  Each resource's utilization is
     the ρ of the queue the model attaches to it; the saturation rate
     scales as [λ_sat = λ_g / ρ] per resource, so the minimum over
-    resources reproduces {!Latency.saturation_rate} up to the
+    resources reproduces {!Eval.saturation_rate} up to the
     blocking-recursion terms. *)
 
 type resource =

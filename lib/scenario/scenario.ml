@@ -1,6 +1,5 @@
 module Params = Fatnet_model.Params
 module Variants = Fatnet_model.Variants
-module Latency = Fatnet_model.Latency
 module Pattern = Fatnet_model.Pattern
 module Eval = Fatnet_model.Eval
 module Destination = Fatnet_workload.Destination
@@ -164,14 +163,6 @@ let model_pattern t =
   | Destination.Uniform | Destination.Hotspot _ -> Pattern.Uniform
   | Destination.Local { p_local } -> Pattern.Local { p_local }
 
-let model_evaluate ?lambda_g t =
-  Pattern.evaluate ~variants:t.variants ~pattern:(model_pattern t) ~system:t.system
-    ~message:t.message
-    ~lambda_g:(require_lambda ?lambda_g t)
-    ()
-
-let model_mean ?lambda_g t = (model_evaluate ?lambda_g t).Latency.mean_latency
-
 let evaluator t =
   let pattern = model_pattern t in
   let outgoing cluster =
@@ -182,10 +173,24 @@ let evaluator t =
 let saturation_rate ?state t =
   (* Uniform-pattern saturation, as before: the workspace uses the
      default Eq. (2) outgoing probabilities regardless of the
-     scenario's pattern, and the stateless search is bit-identical to
-     [Latency.saturation_rate]. *)
+     scenario's pattern; without [state] this is the canonical cold
+     search. *)
   let ws = Eval.workspace ~variants:t.variants ~system:t.system ~message:t.message () in
   Eval.saturation_rate ?state ws
+
+let model_sweep pool ~steps t =
+  if steps < 2 then invalid_arg "Scenario.model_sweep: steps >= 2";
+  let hi = 0.95 *. saturation_rate t in
+  if not (hi > 0.) then invalid_arg "Scenario.model_sweep: saturation rate is zero";
+  let lambdas =
+    Array.init steps (fun i -> float_of_int i /. float_of_int (steps - 1) *. hi)
+  in
+  (* A pattern workspace has no identity for [Eval.Pool] to cache on,
+     so each point builds its own — a fraction of one walk's cost. *)
+  let means =
+    Eval.Pool.map pool lambdas ~f:(fun _ lambda_g -> Eval.mean_into (evaluator t) ~lambda_g)
+  in
+  Array.map2 (fun lambda_g mean -> (lambda_g, mean)) lambdas means
 
 (* ---- text codec ----
 

@@ -156,20 +156,14 @@ val require_lambda : ?lambda_g:float -> t -> float
 
 (** {1 The analytical model} *)
 
-val model_evaluate : ?lambda_g:float -> t -> Fatnet_model.Latency.t
-(** Eqs. (1)–(39) under the scenario's variants and traffic pattern
-    ([Local] patterns use the {!Fatnet_model.Pattern} extension;
-    [Hotspot] has no closed form and falls back to uniform — use the
-    simulator for hotspot predictions). *)
-
-val model_mean : ?lambda_g:float -> t -> float
-(** Just the mean latency, Eq. (3). *)
-
 val evaluator : t -> Fatnet_model.Eval.workspace
 (** An allocation-free evaluation workspace for the scenario's
     (system, message, variants, pattern) — build once per scenario,
-    then [Eval.mean_into] per operating point.  Bit-identical to
-    {!model_mean} at every rate. *)
+    then [Eval.mean_into] per operating point, [Eval.breakdown] for the
+    per-cluster components or [Eval.quantile] for the tail.  [Local]
+    patterns use the {!Fatnet_model.Pattern} extension; [Hotspot] has
+    no closed form and falls back to uniform — use the simulator for
+    hotspot predictions. *)
 
 val memo_key : t -> string
 (** The scenario's model-memo key: {!hash} with the load axis
@@ -181,15 +175,24 @@ val memo_evaluator :
 (** [evaluator] fronted by a sharded in-memory memo
     ({!Fatnet_numerics.Memo}): the returned closure is
     [Eval.mean_memo] over the scenario's workspace with {!memo_key}.
-    Bit-identical to {!model_mean} whether a point hits or misses —
-    the model is a pure function of (scenario, λ).  Without [memo]
-    it is a plain warm evaluator. *)
+    Bit-identical to [Eval.mean_into (evaluator t)] whether a point
+    hits or misses — the model is a pure function of (scenario, λ).
+    Without [memo] it is a plain warm evaluator. *)
 
 val saturation_rate : ?state:Fatnet_numerics.Solver.bracket_state -> t -> float
 (** The model's divergence rate under the scenario's variants
     (uniform-pattern Eq. (2), as in the figures).  Without [state]
     this is the canonical cold search; with [state], successive calls
     over nearby scenarios warm-start from the previous bracket. *)
+
+val model_sweep : Fatnet_model.Eval.Pool.t -> steps:int -> t -> (float * float) array
+(** [(λ_g, mean latency)] at [steps] evenly spaced rates from 0 to
+    0.95 × {!saturation_rate}, evaluated across the pool's domains on
+    the scenario's own {!evaluator} — its variants and pattern.  Every
+    point is bit-identical to [Eval.mean_into (evaluator t)], for any
+    domain count.  A non-uniform pattern can saturate inside the grid;
+    those points are [infinity].  @raise Invalid_argument unless
+    [steps >= 2] and the saturation rate is positive. *)
 
 (** {1 Text codec} *)
 

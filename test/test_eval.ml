@@ -1,13 +1,16 @@
-(* The allocation-free evaluation engine: bit-identity against the
-   record-building reference, warm-started saturation searches and
-   their telemetry, and the batched sweeps built on top. *)
+(* The evaluation engine: bit-identity of the mean, the saturation
+   rate, the component breakdown and the tail fit against the
+   equation-literal reference in test/reference, warm-started
+   saturation searches and their telemetry, and the multicore pool. *)
 
 module P = Fatnet_model.Params
 module V = Fatnet_model.Variants
-module L = Fatnet_model.Latency
+module L = Reference_model.Latency
+module Inter = Reference_model.Inter
 module Eval = Fatnet_model.Eval
 module Pattern = Fatnet_model.Pattern
-module Sweep = Fatnet_model.Sweep
+module Tail = Fatnet_model.Tail
+module Scenario = Fatnet_scenario.Scenario
 module Presets = Fatnet_model.Presets
 module Solver = Fatnet_numerics.Solver
 module Metrics = Fatnet_obs.Metrics
@@ -26,7 +29,7 @@ let check_bits what expected actual =
   Alcotest.(check int64) (Printf.sprintf "%s: %h = %h" what expected actual)
     (bits expected) (bits actual)
 
-(* ---- bit-identity: mean_into vs Latency.mean ---- *)
+(* ---- bit-identity: mean_into vs the reference Latency.mean ---- *)
 
 let paper_orgs = [ ("org_544", Presets.org_544); ("org_1120", Presets.org_1120) ]
 
@@ -107,7 +110,7 @@ let pattern_bit_identity () =
     (fun lambda_g ->
       check_bits
         (Printf.sprintf "local pattern at %g" lambda_g)
-        (Pattern.mean ~pattern ~system:small_system ~message ~lambda_g ())
+        (L.mean ~outgoing ~system:small_system ~message ~lambda_g ())
         (Eval.mean_into ws ~lambda_g))
     [ 0.; 1e-4; 1e-3; 5e-3 ]
 
@@ -170,6 +173,139 @@ let qcheck_saturation_bit_identity =
       let ws = Eval.workspace ~variants ~system ~message () in
       bits (L.saturation_rate ~variants ~system ~message ())
       = bits (Eval.saturation_rate ws))
+
+(* ---- bit-identity: breakdown, tail fit and quantiles ---- *)
+
+(* Every field [Eval.breakdown] and [Eval.tail] report, against the
+   reference evaluation and its tail fit; the names of the fields
+   whose bits differ (empty when identical). *)
+let walk_mismatches ?(variants = V.default) ?outgoing ~system ~message ~lambda_g ws =
+  let bad = ref [] in
+  let same what a b = if bits a <> bits b then bad := what :: !bad in
+  let per_node = variants.V.source_rate = V.Per_node in
+  let r = L.evaluate ~variants ?outgoing ~system ~message ~lambda_g () in
+  let b = Eval.breakdown ws ~lambda_g in
+  same "mean" r.L.mean_latency b.Eval.mean;
+  List.iteri
+    (fun i (rc : L.cluster_result) ->
+      let c = b.Eval.clusters.(i) in
+      let ri = rc.L.intra and ci = c.Eval.intra in
+      let at what = Printf.sprintf "cluster %d %s" i what in
+      if rc.L.nodes <> c.Eval.nodes then bad := at "nodes" :: !bad;
+      same (at "u") rc.L.u c.Eval.u;
+      same (at "intra network") ri.Reference_model.Intra.network ci.Eval.network;
+      same (at "intra waiting") ri.Reference_model.Intra.waiting ci.Eval.waiting;
+      same (at "intra tail") ri.Reference_model.Intra.tail ci.Eval.tail;
+      same (at "intra source rate")
+        (if per_node then lambda_g *. (1. -. rc.L.u) else ri.Reference_model.Intra.lambda_icn1)
+        ci.Eval.source_rate;
+      same (at "intra total") ri.Reference_model.Intra.total c.Eval.intra_total;
+      same (at "combined") rc.L.combined c.Eval.combined;
+      match rc.L.inter with
+      | None ->
+          if Array.length c.Eval.pairs <> 0 || not (Float.is_nan c.Eval.inter_total) then
+            bad := at "single-cluster inter" :: !bad
+      | Some ex ->
+          same (at "inter total") ex.Inter.total c.Eval.inter_total;
+          if List.length ex.Inter.pairs <> Array.length c.Eval.pairs then
+            bad := at "pair count" :: !bad
+          else
+            List.iteri
+              (fun k (p : Inter.pair_breakdown) ->
+                let q = c.Eval.pairs.(k) in
+                let at what = at (Printf.sprintf "pair %d %s" k what) in
+                if p.Inter.dest <> q.Eval.dest then bad := at "dest" :: !bad;
+                same (at "network") p.Inter.network q.Eval.network;
+                same (at "waiting") p.Inter.waiting q.Eval.waiting;
+                same (at "tail") p.Inter.tail q.Eval.tail;
+                same (at "cd wait") p.Inter.cd_wait q.Eval.cd_wait;
+                same (at "lambda_icn2") p.Inter.lambda_icn2 q.Eval.lambda_icn2;
+                same (at "source rate")
+                  (if per_node then lambda_g *. rc.L.u else p.Inter.lambda_ecn1)
+                  q.Eval.source_rate)
+              ex.Inter.pairs)
+    r.L.clusters;
+  let rt = Reference_model.of_latency ~variants ~system ~message ~lambda_g r in
+  let t = Eval.tail ws ~lambda_g in
+  same "tail mean" rt.Tail.mean t.Tail.mean;
+  if List.length rt.Tail.components <> List.length t.Tail.components then
+    bad := "component count" :: !bad
+  else
+    List.iteri
+      (fun k ((a : Tail.component), (c : Tail.component)) ->
+        let at what = Printf.sprintf "component %d %s" k what in
+        same (at "weight") a.Tail.weight c.Tail.weight;
+        same (at "floor") a.Tail.floor c.Tail.floor;
+        same (at "wait_mean") a.Tail.wait_mean c.Tail.wait_mean;
+        same (at "sigma") a.Tail.sigma c.Tail.sigma)
+      (List.combine rt.Tail.components t.Tail.components);
+  List.iter
+    (fun q ->
+      same (Printf.sprintf "quantile %g" q) (Tail.quantile rt q) (Eval.quantile ws ~lambda_g ~q))
+    [ 0.5; 0.9; 0.99; 0.999 ];
+  List.rev !bad
+
+let check_walk what ?variants ?outgoing ~system ~message ~lambda_g ws =
+  Alcotest.(check (list string))
+    (what ^ ": breakdown, tail and quantiles")
+    []
+    (walk_mismatches ?variants ?outgoing ~system ~message ~lambda_g ws)
+
+let golden_walk_bit_identity () =
+  List.iter
+    (fun (name, system) ->
+      let ws = Eval.workspace ~system ~message () in
+      let sat = Eval.saturation_rate ws in
+      List.iter
+        (fun frac ->
+          check_walk
+            (Printf.sprintf "%s at %.2f x sat" name frac)
+            ~system ~message ~lambda_g:(frac *. sat) ws)
+        [ 0.; 0.05; 0.5; 0.9; 0.99; 1.01; 1.5 ])
+    paper_orgs
+
+let single_cluster_walk_bit_identity () =
+  let system =
+    P.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1 ~ecn1:Presets.net2
+      ~icn2:Presets.net1
+  in
+  let ws = Eval.workspace ~system ~message () in
+  List.iter
+    (fun lambda_g ->
+      check_walk (Printf.sprintf "single cluster at %g" lambda_g) ~system ~message ~lambda_g ws)
+    [ 0.; 1e-4; 1e-3; 1e-2; 1. ]
+
+let pattern_walk_bit_identity () =
+  let variants = { V.default with V.source_rate = V.Network_total; lambda_i2 = V.Size_scaled } in
+  let outgoing cluster =
+    Pattern.outgoing_probability (Pattern.Local { p_local = 0.7 }) ~system:small_system ~cluster
+  in
+  let ws = Eval.workspace ~variants ~outgoing ~system:small_system ~message () in
+  List.iter
+    (fun lambda_g ->
+      check_walk
+        (Printf.sprintf "local pattern at %g" lambda_g)
+        ~variants ~outgoing ~system:small_system ~message ~lambda_g ws)
+    [ 0.; 1e-4; 1e-3; 5e-3 ]
+
+let qcheck_walk_bit_identity =
+  QCheck.Test.make
+    ~name:"Eval.breakdown, tail and quantile equal the reference to the bit" ~count:60
+    QCheck.(pair arb_case (float_range 0. 1.))
+    (fun ((system, message, variants, lambda_scale), p_local) ->
+      (* Half the cases swap Eq. (2) for a local pattern. *)
+      let outgoing =
+        if p_local < 0.5 then None
+        else
+          Some
+            (fun cluster ->
+              Pattern.outgoing_probability (Pattern.Local { p_local }) ~system ~cluster)
+      in
+      let ws = Eval.workspace ~variants ?outgoing ~system ~message () in
+      let lambda_g = 0.75 *. lambda_scale *. Eval.saturation_rate ws in
+      match walk_mismatches ~variants ?outgoing ~system ~message ~lambda_g ws with
+      | [] -> true
+      | bad -> QCheck.Test.fail_reportf "mismatched: %s" (String.concat ", " bad))
 
 (* ---- warm-started saturation searches ---- *)
 
@@ -391,15 +527,32 @@ let pool_means_match_sequential () =
         [ 1; 2; 4 ])
     paper_orgs
 
+(* [cluster_model --sweep]'s grid on a scenario with non-default
+   variants and a local pattern: every point is the scenario's own
+   workspace, bit for bit, at any domain count. *)
 let pool_sweep_matches_sequential () =
-  let seq = Sweep.up_to_saturation ~system:small_system ~message ~steps:7 () in
-  Pool.with_pool ~domains:3 (fun pool ->
-      let par = Sweep.up_to_saturation_pool pool ~system:small_system ~message ~steps:7 () in
-      List.iter2
-        (fun (a : Sweep.point) (b : Sweep.point) ->
-          Alcotest.(check bool) "same grid" true (a.Sweep.lambda_g = b.Sweep.lambda_g);
-          check_bits "pooled sweep latency" a.Sweep.latency b.Sweep.latency)
-        seq.Sweep.points par.Sweep.points)
+  let scn =
+    Scenario.make ~system:small_system ~message
+      ~variants:{ V.default with V.use_relaxing_factor = false; source_variance = V.Zero }
+      ~pattern:(Fatnet_workload.Destination.Local { p_local = 0.9 })
+      ~load:(Scenario.Fixed 1e-4) ()
+  in
+  let ws = Scenario.evaluator scn in
+  List.iter
+    (fun domains ->
+      let points = Pool.with_pool ~domains (fun pool -> Scenario.model_sweep pool ~steps:7 scn) in
+      Alcotest.(check int) "points" 7 (Array.length points);
+      Array.iter
+        (fun (lambda_g, latency) ->
+          check_bits
+            (Printf.sprintf "%d domains at %g" domains lambda_g)
+            (Eval.mean_into ws ~lambda_g) latency)
+        points)
+    [ 1; 3 ];
+  (* The scenario's variants and pattern reach the grid. *)
+  let plain = Scenario.make ~system:small_system ~message ~load:(Scenario.Fixed 1e-4) () in
+  let last s = snd (Pool.with_pool ~domains:1 (fun pool -> Scenario.model_sweep pool ~steps:3 s)).(2) in
+  Alcotest.(check bool) "differs from the default scenario" true (last scn <> last plain)
 
 let pool_saturation_rates () =
   let family =
@@ -497,87 +650,6 @@ let mean_into_is_allocation_free () =
         (Printf.sprintf "bytes per eval %.1f <= 64" per_eval)
         true (per_eval <= 64.)
 
-(* ---- batched sweeps ---- *)
-
-let batch_matches_pointwise () =
-  let ws = Eval.workspace ~system:small_system ~message () in
-  let sat = Eval.saturation_rate ws in
-  let lambdas = List.init 9 (fun i -> 0.3 *. sat *. float_of_int i) in
-  let s = Sweep.batch ws ~lambdas in
-  Alcotest.(check int) "points" 9 (List.length s.Sweep.points);
-  List.iteri
-    (fun i p ->
-      let expected = List.nth lambdas i in
-      Alcotest.(check bool) "order preserved" true (p.Sweep.lambda_g = expected);
-      if p.Sweep.lambda_g < sat then
-        check_bits
-          (Printf.sprintf "batch point %d" i)
-          (L.mean ~system:small_system ~message ~lambda_g:p.Sweep.lambda_g ())
-          p.Sweep.latency
-      else
-        Alcotest.(check bool) "saturated point is infinite" true
-          (not (Float.is_finite p.Sweep.latency)))
-    s.Sweep.points
-
-let batch_frontier_skips_evaluations () =
-  let reg = Metrics.create () in
-  Metrics.with_ambient reg @@ fun () ->
-  let ws = Eval.workspace ~system:small_system ~message () in
-  let sat = Eval.saturation_rate ws in
-  let evals0 =
-    match Metrics.Snapshot.find (Metrics.snapshot reg) "model_evaluations" with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  (* Five rates past saturation, shuffled: only the lowest is
-     evaluated, the frontier covers the rest. *)
-  let lambdas = List.map (fun f -> f *. sat) [ 1.9; 1.2; 1.7; 1.3; 1.5 ] in
-  let s = Sweep.batch ws ~lambdas in
-  let evals =
-    (match Metrics.Snapshot.find (Metrics.snapshot reg) "model_evaluations" with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0)
-    - evals0
-  in
-  Alcotest.(check int) "one evaluation for five saturated points" 1 evals;
-  Alcotest.(check bool) "all saturated" true
-    (List.for_all (fun p -> not (Float.is_finite p.Sweep.latency)) s.Sweep.points);
-  let sat_count =
-    match
-      Metrics.Snapshot.find (Metrics.snapshot reg) "model_sweep_points_saturated"
-    with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  Alcotest.(check int) "saturated points still counted" 5 sat_count
-
-let up_to_saturation_margin_validation () =
-  let expect margin =
-    Alcotest.check_raises
-      (Printf.sprintf "margin %h rejected" margin)
-      (Invalid_argument "Sweep.up_to_saturation: margin must be finite and in (0,1)")
-      (fun () ->
-        ignore
-          (Sweep.up_to_saturation ~margin ~system:small_system ~message ~steps:4 ()))
-  in
-  expect nan;
-  expect 0.;
-  expect (-0.5);
-  expect 1.;
-  expect 1.5;
-  expect infinity;
-  expect neg_infinity
-
-let linear_matches_reference () =
-  let s = Sweep.linear ~system:small_system ~message ~lo:0. ~hi:1e-3 ~steps:6 () in
-  List.iter
-    (fun p ->
-      check_bits
-        (Printf.sprintf "linear at %g" p.Sweep.lambda_g)
-        (L.mean ~system:small_system ~message ~lambda_g:p.Sweep.lambda_g ())
-        p.Sweep.latency)
-    s.Sweep.points
-
 let () =
   Alcotest.run "eval"
     [
@@ -590,6 +662,13 @@ let () =
           Alcotest.test_case "local traffic pattern" `Quick pattern_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_mean_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_saturation_bit_identity;
+          Alcotest.test_case "breakdown and tail, paper organizations" `Quick
+            golden_walk_bit_identity;
+          Alcotest.test_case "breakdown and tail, single cluster" `Quick
+            single_cluster_walk_bit_identity;
+          Alcotest.test_case "breakdown and tail, local pattern" `Quick
+            pattern_walk_bit_identity;
+          QCheck_alcotest.to_alcotest qcheck_walk_bit_identity;
         ] );
       ( "warm start",
         [
@@ -620,12 +699,4 @@ let () =
         ] );
       ( "allocation",
         [ Alcotest.test_case "mean_into allocation-free" `Quick mean_into_is_allocation_free ] );
-      ( "batch",
-        [
-          Alcotest.test_case "batch matches pointwise" `Quick batch_matches_pointwise;
-          Alcotest.test_case "frontier skips evaluations" `Quick
-            batch_frontier_skips_evaluations;
-          Alcotest.test_case "margin validation" `Quick up_to_saturation_margin_validation;
-          Alcotest.test_case "linear matches reference" `Quick linear_matches_reference;
-        ] );
     ]

@@ -432,7 +432,8 @@ let rename_faults_degrade_without_debris () =
 
 let estimated_cost_tracks_bottleneck_load () =
   let sat =
-    Fatnet_model.Latency.saturation_rate ~system:small_system ~message ()
+    Fatnet_model.Eval.saturation_rate
+      (Fatnet_model.Eval.workspace ~system:small_system ~message ())
   in
   let cost f = Engine.estimated_cost (point (f *. sat)) in
   Alcotest.(check bool) "cost grows towards saturation" true

@@ -6,7 +6,19 @@
    quick protocol uses fewer messages than the paper's, and the model
    itself is only claimed accurate to 4-8 % at light load. *)
 
-module L = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
+
+(* The production engine, one workspace per question. *)
+module L = struct
+  let mean ?outgoing ~system ~message ~lambda_g () =
+    Eval.mean_into (Eval.workspace ?outgoing ~system ~message ()) ~lambda_g
+
+  let saturation_rate ~system ~message () =
+    Eval.saturation_rate (Eval.workspace ~system ~message ())
+
+  let breakdown ~system ~message ~lambda_g () =
+    Eval.breakdown (Eval.workspace ~system ~message ()) ~lambda_g
+end
 module Presets = Fatnet_model.Presets
 module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
@@ -76,10 +88,8 @@ let intra_component_matches_closely () =
      approximations): check it against the simulated intra class. *)
   let lambda_g = 1e-3 in
   let r = Runner.run ~config:sim_config ~system:small_system ~message ~lambda_g () in
-  let model = L.evaluate ~system:small_system ~message ~lambda_g () in
-  let model_intra =
-    (List.hd model.L.clusters).L.intra.Fatnet_model.Intra.total
-  in
+  let model = L.breakdown ~system:small_system ~message ~lambda_g () in
+  let model_intra = model.Eval.clusters.(0).Eval.intra_total in
   let sim_intra = r.Runner.intra_latency.Fatnet_stats.Summary.mean in
   let err = Fatnet_numerics.Float_utils.relative_error ~expected:sim_intra ~actual:model_intra in
   Alcotest.(check bool)
@@ -211,8 +221,8 @@ let network_heterogeneity_tracked () =
     (Printf.sprintf "heterogeneous-network error %.1f%% < 20%%" (100. *. err))
     true (err < 0.20);
   (* and the model must see the difference between the two ECN1s *)
-  let r = L.evaluate ~system ~message ~lambda_g () in
-  let lat i = (List.nth r.L.clusters i).L.combined in
+  let r = L.breakdown ~system ~message ~lambda_g () in
+  let lat i = r.Eval.clusters.(i).Eval.combined in
   Alcotest.(check bool) "fast-egress cluster is faster" true (lat 1 < lat 0)
 
 (* The tentpole's golden claim: on the paper's N=544 organization
@@ -474,11 +484,12 @@ let locality_model_extension_tracks_sim () =
   let lambda_g = 0.25 *. sat in
   List.iter
     (fun p ->
-      let model =
-        Fatnet_model.Pattern.mean
-          ~pattern:(Fatnet_model.Pattern.Local { p_local = p })
-          ~system:small_system ~message ~lambda_g ()
+      let outgoing cluster =
+        Fatnet_model.Pattern.outgoing_probability
+          (Fatnet_model.Pattern.Local { p_local = p })
+          ~system:small_system ~cluster
       in
+      let model = L.mean ~outgoing ~system:small_system ~message ~lambda_g () in
       let sim =
         Runner.mean_latency
           ~config:

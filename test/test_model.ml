@@ -1,14 +1,18 @@
-(* Tests for the analytical model: parameters, service times,
-   Eqs. (1)-(39) behavioural properties, presets and sweeps. *)
+(* Tests for the analytical model: parameters, service times, the
+   paper's behavioural claims on the production engine ([Eval]),
+   equation-level checks on the test-only reference, presets and
+   sweeps. *)
 
 module P = Fatnet_model.Params
 module ST = Fatnet_model.Service_time
 module V = Fatnet_model.Variants
-module Intra = Fatnet_model.Intra
-module Inter = Fatnet_model.Inter
-module L = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
+module Pattern = Fatnet_model.Pattern
 module Presets = Fatnet_model.Presets
-module Sweep = Fatnet_model.Sweep
+module Scenario = Fatnet_scenario.Scenario
+module Intra = Reference_model.Intra
+module Inter = Reference_model.Inter
+module L = Reference_model.Latency
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -121,40 +125,49 @@ let relaxing_factor_direction () =
   let d = ST.relaxing_factor ~ecn1:Presets.net2 ~icn2:Presets.net1 in
   check_float "delta = 1/2" 0.5 d
 
-(* ---- Top level ---- *)
+(* ---- Top level (the production engine) ---- *)
+
+let mean ?variants ?outgoing ~system ~message lambda_g =
+  Eval.mean_into (Eval.workspace ?variants ?outgoing ~system ~message ()) ~lambda_g
+
+let saturation ?variants ~system ~message () =
+  Eval.saturation_rate (Eval.workspace ?variants ~system ~message ())
 
 let outgoing_probability_eq2 () =
   (* Cluster 0 of org_544 has 16 nodes out of 544. *)
-  check_float "U_0" (1. -. (15. /. 543.))
+  let eq2 system cluster = Pattern.outgoing_probability Pattern.Uniform ~system ~cluster in
+  check_float "U_0" (1. -. (15. /. 543.)) (eq2 Presets.org_544 0);
+  check_float "reference U_0" (eq2 Presets.org_544 0)
     (L.outgoing_probability ~system:Presets.org_544 ~cluster:0);
   (* single-cluster system: U = 0 *)
   let solo = P.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  check_float "U solo" 0. (L.outgoing_probability ~system:solo ~cluster:0)
+  check_float "U solo" 0. (eq2 solo 0)
 
 let latency_weighted_average () =
-  let r = L.evaluate ~system:small_system ~message ~lambda_g:1e-4 () in
+  let b = Eval.breakdown (Eval.workspace ~system:small_system ~message ()) ~lambda_g:1e-4 in
   let manual =
-    List.fold_left
-      (fun acc c ->
-        acc +. (float_of_int c.L.nodes /. 32. *. c.L.combined))
-      0. r.L.clusters
+    Array.fold_left
+      (fun acc c -> acc +. (float_of_int c.Eval.nodes /. 32. *. c.Eval.combined))
+      0. b.Eval.clusters
   in
-  check_float "Eq. (3)" manual r.L.mean_latency
+  check_float "Eq. (3)" manual b.Eval.mean
 
 let latency_single_cluster_is_intra () =
   let solo = P.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  let r = L.evaluate ~system:solo ~message ~lambda_g:1e-3 () in
-  match r.L.clusters with
-  | [ c ] ->
-      Alcotest.(check bool) "no inter component" true (c.L.inter = None);
-      check_float "combined = intra" c.L.intra.Intra.total c.L.combined
+  let b = Eval.breakdown (Eval.workspace ~system:solo ~message ()) ~lambda_g:1e-3 in
+  match b.Eval.clusters with
+  | [| c |] ->
+      Alcotest.(check int) "no inter component" 0 (Array.length c.Eval.pairs);
+      Alcotest.(check bool) "no inter total" true (Float.is_nan c.Eval.inter_total);
+      check_float "combined = intra" c.Eval.intra_total c.Eval.combined
   | _ -> Alcotest.fail "expected one cluster"
 
 let latency_monotone_in_lambda () =
+  let ws = Eval.workspace ~system:small_system ~message () in
   let prev = ref 0. in
   List.iter
     (fun lambda_g ->
-      let l = L.mean ~system:small_system ~message ~lambda_g () in
+      let l = Eval.mean_into ws ~lambda_g in
       Alcotest.(check bool) (Printf.sprintf "monotone at %g" lambda_g) true (l >= !prev);
       prev := l)
     [ 1e-6; 1e-5; 1e-4; 1e-3; 2e-3; 4e-3 ]
@@ -164,7 +177,7 @@ let latency_monotone_property =
     QCheck.(pair (float_range 1e-6 4e-3) (float_range 1e-6 4e-3))
     (fun (l1, l2) ->
       let lo = Float.min l1 l2 and hi = Float.max l1 l2 in
-      let f lambda_g = L.mean ~system:small_system ~message ~lambda_g () in
+      let f = mean ~system:small_system ~message in
       let a = f lo and b = f hi in
       (not (Float.is_finite a)) || (not (Float.is_finite b)) || a <= b +. 1e-9)
 
@@ -174,8 +187,8 @@ let bigger_flits_higher_latency =
     (fun lambda_g ->
       let small = Presets.message ~m_flits:32 ~d_m_bytes:256. in
       let large = Presets.message ~m_flits:32 ~d_m_bytes:512. in
-      let a = L.mean ~system:small_system ~message:small ~lambda_g () in
-      let b = L.mean ~system:small_system ~message:large ~lambda_g () in
+      let a = mean ~system:small_system ~message:small lambda_g in
+      let b = mean ~system:small_system ~message:large lambda_g in
       (not (Float.is_finite b)) || a <= b +. 1e-9)
 
 let longer_messages_higher_latency =
@@ -184,16 +197,17 @@ let longer_messages_higher_latency =
     (fun lambda_g ->
       let short = Presets.message ~m_flits:32 ~d_m_bytes:256. in
       let long = Presets.message ~m_flits:64 ~d_m_bytes:256. in
-      let a = L.mean ~system:small_system ~message:short ~lambda_g () in
-      let b = L.mean ~system:small_system ~message:long ~lambda_g () in
+      let a = mean ~system:small_system ~message:short lambda_g in
+      let b = mean ~system:small_system ~message:long lambda_g in
       (not (Float.is_finite b)) || a <= b +. 1e-9)
 
 let saturation_rate_brackets () =
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let ws = Eval.workspace ~system:small_system ~message () in
+  let sat = Eval.saturation_rate ws in
   Alcotest.(check bool) "finite before" true
-    (Float.is_finite (L.mean ~system:small_system ~message ~lambda_g:(0.99 *. sat) ()));
+    (Float.is_finite (Eval.mean_into ws ~lambda_g:(0.99 *. sat)));
   Alcotest.(check bool) "infinite after" false
-    (Float.is_finite (L.mean ~system:small_system ~message ~lambda_g:(1.01 *. sat) ()))
+    (Float.is_finite (Eval.mean_into ws ~lambda_g:(1.01 *. sat)))
 
 let paper_saturation_points () =
   (* The C/D queue divergence must land at the x-axis extent of the
@@ -201,7 +215,7 @@ let paper_saturation_points () =
      ~5.2e-4 for Figs. 3-6. *)
   let check name sys m_flits expected =
     let msg = Presets.message ~m_flits ~d_m_bytes:256. in
-    let sat = L.saturation_rate ~system:sys ~message:msg () in
+    let sat = saturation ~system:sys ~message:msg () in
     Alcotest.(check bool)
       (Printf.sprintf "%s within 10%% of %g (got %g)" name expected sat)
       true
@@ -217,15 +231,14 @@ let fig7_improvement_direction () =
      and help N=544 relatively more than N=1120 (paper, Section 4). *)
   let msg = Presets.message ~m_flits:128 ~d_m_bytes:256. in
   let gain sys lambda_g =
-    let base = L.mean ~system:sys ~message:msg ~lambda_g () in
+    let base = mean ~system:sys ~message:msg lambda_g in
     let inc =
-      L.mean ~system:(Presets.with_icn2_bandwidth_scaled sys ~factor:1.2) ~message:msg
-        ~lambda_g ()
+      mean ~system:(Presets.with_icn2_bandwidth_scaled sys ~factor:1.2) ~message:msg lambda_g
     in
     (base -. inc) /. base
   in
-  let sat544 = L.saturation_rate ~system:Presets.org_544 ~message:msg () in
-  let sat1120 = L.saturation_rate ~system:Presets.org_1120 ~message:msg () in
+  let sat544 = saturation ~system:Presets.org_544 ~message:msg () in
+  let sat1120 = saturation ~system:Presets.org_1120 ~message:msg () in
   let g544_low = gain Presets.org_544 (0.2 *. sat544) in
   let g544_high = gain Presets.org_544 (0.9 *. sat544) in
   let g1120_high = gain Presets.org_1120 (0.9 *. sat1120) in
@@ -235,43 +248,43 @@ let fig7_improvement_direction () =
     (g544_high > g1120_high)
 
 let heterogeneous_clusters_differ () =
-  let r = L.evaluate ~system:Presets.org_544 ~message ~lambda_g:1e-4 () in
-  let c0 = List.nth r.L.clusters 0 and c15 = List.nth r.L.clusters 15 in
-  Alcotest.(check bool) "different sizes" true (c0.L.nodes <> c15.L.nodes);
-  Alcotest.(check bool) "different U" true (Float.abs (c0.L.u -. c15.L.u) > 1e-6);
+  let b = Eval.breakdown (Eval.workspace ~system:Presets.org_544 ~message ()) ~lambda_g:1e-4 in
+  let c0 = b.Eval.clusters.(0) and c15 = b.Eval.clusters.(15) in
+  Alcotest.(check bool) "different sizes" true (c0.Eval.nodes <> c15.Eval.nodes);
+  Alcotest.(check bool) "different U" true (Float.abs (c0.Eval.u -. c15.Eval.u) > 1e-6);
   Alcotest.(check bool) "different latency" true
-    (Float.abs (c0.L.combined -. c15.L.combined) > 1e-6)
+    (Float.abs (c0.Eval.combined -. c15.Eval.combined) > 1e-6)
 
 (* ---- Variants ---- *)
 
 let variant_network_total_saturates_earlier () =
-  let sat_default = L.saturation_rate ~system:Presets.org_1120 ~message () in
+  let sat_default = saturation ~system:Presets.org_1120 ~message () in
   let variants = { V.default with V.source_rate = V.Network_total } in
-  let sat_literal = L.saturation_rate ~variants ~system:Presets.org_1120 ~message () in
+  let sat_literal = saturation ~variants ~system:Presets.org_1120 ~message () in
   Alcotest.(check bool) "literal reading saturates much earlier" true
     (sat_literal < 0.5 *. sat_default)
 
 let variant_zero_variance_lowers_wait () =
   let lambda_g = 4e-4 in
-  let base = L.mean ~system:Presets.org_1120 ~message ~lambda_g () in
+  let base = mean ~system:Presets.org_1120 ~message lambda_g in
   let zero =
-    L.mean
+    mean
       ~variants:{ V.default with V.source_variance = V.Zero }
-      ~system:Presets.org_1120 ~message ~lambda_g ()
+      ~system:Presets.org_1120 ~message lambda_g
   in
   Alcotest.(check bool) "M/D/1 source queue is faster" true (zero <= base)
 
 let variant_lambda_i2_size_scaled_differs () =
   let lambda_g = 3e-4 in
-  let base = L.mean ~system:Presets.org_1120 ~message ~lambda_g () in
+  let base = mean ~system:Presets.org_1120 ~message lambda_g in
   let scaled =
-    L.mean
+    mean
       ~variants:{ V.default with V.lambda_i2 = V.Size_scaled }
-      ~system:Presets.org_1120 ~message ~lambda_g ()
+      ~system:Presets.org_1120 ~message lambda_g
   in
   Alcotest.(check bool) "readings disagree" true (Float.abs (base -. scaled) > 1e-6)
 
-(* ---- Intra details ---- *)
+(* ---- Equation-level components (the equation-literal reference) ---- *)
 
 let intra_zero_load_closed_form () =
   (* At λ→0 the network latency of a cluster with n=1 is M·t_cn and
@@ -324,7 +337,7 @@ let utilization_predicts_saturation () =
   List.iter
     (fun sys ->
       let b = Fatnet_model.Utilization.bottleneck ~system:sys ~message () in
-      let sat = L.saturation_rate ~system:sys ~message () in
+      let sat = saturation ~system:sys ~message () in
       let err =
         Float.abs (b.Fatnet_model.Utilization.saturates_at -. sat) /. sat
       in
@@ -353,32 +366,29 @@ let pattern_uniform_matches_eq2 () =
   for cluster = 0 to 3 do
     check_float "uniform pattern = Eq. (2)"
       (L.outgoing_probability ~system:small_system ~cluster)
-      (Fatnet_model.Pattern.outgoing_probability Fatnet_model.Pattern.Uniform
-         ~system:small_system ~cluster)
+      (Pattern.outgoing_probability Pattern.Uniform ~system:small_system ~cluster)
   done
 
 let pattern_local_u () =
   check_float "U = 1 - p_local" 0.3
-    (Fatnet_model.Pattern.outgoing_probability
-       (Fatnet_model.Pattern.Local { p_local = 0.7 })
-       ~system:small_system ~cluster:0)
+    (Pattern.outgoing_probability (Pattern.Local { p_local = 0.7 }) ~system:small_system
+       ~cluster:0)
+
+let pattern_mean pattern ~lambda_g =
+  let outgoing cluster = Pattern.outgoing_probability pattern ~system:small_system ~cluster in
+  mean ~outgoing ~system:small_system ~message lambda_g
 
 let pattern_uniform_evaluate_matches_latency () =
   let lambda_g = 1e-3 in
-  check_float "Pattern.Uniform = Latency"
-    (L.mean ~system:small_system ~message ~lambda_g ())
-    (Fatnet_model.Pattern.mean ~pattern:Fatnet_model.Pattern.Uniform ~system:small_system
-       ~message ~lambda_g ())
+  check_float "Pattern.Uniform = default Eq. (2) workspace"
+    (mean ~system:small_system ~message lambda_g)
+    (pattern_mean Pattern.Uniform ~lambda_g)
 
 let pattern_locality_lowers_latency =
   QCheck.Test.make ~name:"more locality, lower predicted latency" ~count:50
     QCheck.(pair (float_range 0. 0.45) (float_range 1e-5 2e-3))
     (fun (p, lambda_g) ->
-      let at p =
-        Fatnet_model.Pattern.mean
-          ~pattern:(Fatnet_model.Pattern.Local { p_local = p })
-          ~system:small_system ~message ~lambda_g ()
-      in
+      let at p = pattern_mean (Pattern.Local { p_local = p }) ~lambda_g in
       let low = at p and high = at (p +. 0.5) in
       (not (Float.is_finite low)) || high <= low +. 1e-9)
 
@@ -386,13 +396,15 @@ let pattern_locality_lowers_latency =
 
 module Tail = Fatnet_model.Tail
 
+let tail_at ~lambda_g = Eval.tail (Eval.workspace ~system:Presets.org_544 ~message ()) ~lambda_g
+
 (* The mixture is a *distribution* refinement of the mean model: its
    weights are a probability law over (cluster, class) components and
    its implied mean Σ w (floor + wait_mean) is exactly Eq. (3). *)
 let tail_mixture_preserves_mean () =
   List.iter
     (fun lambda_g ->
-      let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g () in
+      let t = tail_at ~lambda_g in
       let wsum = List.fold_left (fun a c -> a +. c.Tail.weight) 0. t.Tail.components in
       let implied =
         List.fold_left
@@ -401,13 +413,13 @@ let tail_mixture_preserves_mean () =
       in
       Alcotest.(check (float 1e-9)) "weights form a law" 1. wsum;
       Alcotest.(check (float 1e-6)) "implied mean is Eq. (3)"
-        (L.mean ~system:Presets.org_544 ~message ~lambda_g ())
+        (mean ~system:Presets.org_544 ~message lambda_g)
         implied;
       check_float "carried mean" t.Tail.mean implied)
     [ 1e-5; 1e-4; 3e-4 ]
 
 let tail_cdf_monotone_and_bounded () =
-  let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:3e-4 () in
+  let t = tail_at ~lambda_g:3e-4 in
   let xs = List.init 60 (fun i -> float_of_int i *. 10.) in
   let prev = ref 0. in
   List.iter
@@ -420,7 +432,7 @@ let tail_cdf_monotone_and_bounded () =
     xs
 
 let tail_quantile_inverts_cdf () =
-  let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:3e-4 () in
+  let t = tail_at ~lambda_g:3e-4 in
   let prev = ref 0. in
   List.iter
     (fun q ->
@@ -437,13 +449,12 @@ let tail_quantile_inverts_cdf () =
       ignore (Tail.quantile t 1.))
 
 let tail_quantile_monotone_in_load () =
-  let at lambda_g =
-    Tail.quantile (Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g ()) 0.99
-  in
+  let ws = Eval.workspace ~system:Presets.org_544 ~message () in
+  let at lambda_g = Eval.quantile ws ~lambda_g ~q:0.99 in
   let light = at 1e-5 and mid = at 2e-4 and heavy = at 5e-4 in
   Alcotest.(check bool) "p99 grows with load" true (light < mid && mid < heavy);
   (* past saturation the mixture diverges like the mean does *)
-  let sat = L.saturation_rate ~system:Presets.org_544 ~message () in
+  let sat = Eval.saturation_rate ws in
   Alcotest.(check bool) "saturated p99 is infinite" true (at (1.05 *. sat) = infinity)
 
 (* M/M/1 check of the component fit: with sigma = rho and
@@ -462,25 +473,33 @@ let tail_component_is_exact_mm1 () =
     [ 0.; 0.3; 1.; 2.5; 7. ]
 
 let tail_eval_quantile_matches_direct () =
-  let ws = Fatnet_model.Eval.workspace ~system:Presets.org_544 ~message () in
-  let direct =
-    Tail.quantile (Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:2e-4 ()) 0.99
+  let ws = Eval.workspace ~system:Presets.org_544 ~message () in
+  let reference =
+    Tail.quantile (Reference_model.tail ~system:Presets.org_544 ~message ~lambda_g:2e-4 ()) 0.99
   in
-  check_float "Eval.quantile = Tail path"
-    direct
-    (Fatnet_model.Eval.quantile ws ~lambda_g:2e-4 ~q:0.99)
+  Alcotest.(check int64) "Eval.quantile = reference tail, to the bit"
+    (Int64.bits_of_float reference)
+    (Int64.bits_of_float (Eval.quantile ws ~lambda_g:2e-4 ~q:0.99))
 
 (* ---- Sweeps ---- *)
 
+let small_scenario =
+  Scenario.make ~system:small_system ~message ~load:(Scenario.Fixed 1e-4) ()
+
+let sweep ~domains ~steps =
+  Eval.Pool.with_pool ~domains (fun pool -> Scenario.model_sweep pool ~steps small_scenario)
+
 let sweep_shapes () =
-  let s = Sweep.linear ~system:small_system ~message ~lo:0. ~hi:1e-3 ~steps:5 () in
-  Alcotest.(check int) "points" 5 (List.length s.Sweep.points);
-  let xs = List.map (fun p -> p.Sweep.lambda_g) s.Sweep.points in
-  Alcotest.(check (list (float 1e-12))) "grid" [ 0.; 2.5e-4; 5e-4; 7.5e-4; 1e-3 ] xs
+  let hi = 0.95 *. Scenario.saturation_rate small_scenario in
+  Alcotest.(check (list (float 1e-12))) "grid"
+    [ 0.; 0.25 *. hi; 0.5 *. hi; 0.75 *. hi; hi ]
+    (Array.to_list (Array.map fst (sweep ~domains:1 ~steps:5)))
 
 let sweep_saturation_all_finite () =
-  let s = Sweep.up_to_saturation ~system:small_system ~message ~steps:8 () in
-  Alcotest.(check int) "all finite" 8 (List.length (Sweep.finite_points s))
+  let points = sweep ~domains:2 ~steps:8 in
+  Alcotest.(check int) "points" 8 (Array.length points);
+  Alcotest.(check bool) "all finite" true
+    (Array.for_all (fun (_, l) -> Float.is_finite l) points)
 
 let () =
   Alcotest.run "model"
